@@ -13,13 +13,16 @@ val create :
 (** [create ?rounds ?rekey_interval ~entropy ()] builds a CTR stream.
     [entropy n] must return [n] fresh true-random bytes (used for the
     key and nonce, at creation and at every rekey).  [rounds] defaults
-    to 10, [rekey_interval] to 65536 blocks. *)
+    to 10, [rekey_interval] to 65536 blocks.  Raises [Invalid_argument]
+    unless [1 <= rounds <= 10] and [rekey_interval > 0]. *)
 
 val next_block : t -> string
 (** The next 16-byte keystream block. *)
 
 val next_u64 : t -> int64
-(** The next 64 bits of keystream (one block yields two values). *)
+(** The next 64 bits of keystream (one block yields two values: bytes
+    0-7 then bytes 8-15 of the block, each read little-endian).  Draws
+    allocate no intermediate string or array. *)
 
 val blocks_generated : t -> int
 (** Total blocks produced since creation (across rekeys). *)

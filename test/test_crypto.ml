@@ -52,6 +52,26 @@ let test_reduced_rounds_differ () =
   in
   Alcotest.(check int) "all distinct" 5 (List.length (List.sort_uniq compare outs))
 
+(* Reduced-round ciphertexts of the FIPS-197 C.1 key/plaintext (AES-10
+   is appendix C above), pinned bit for bit: the schedule is
+   [rounds - 1] full rounds plus the final round keyed with round key
+   [rounds]. *)
+let test_reduced_rounds_golden () =
+  let key = Crypto.Aes.expand_key (hex "000102030405060708090a0b0c0d0e0f") in
+  let block = hex "00112233445566778899aabbccddeeff" in
+  List.iter
+    (fun (rounds, expected) ->
+      Alcotest.(check string)
+        (Printf.sprintf "AES-%d" rounds)
+        expected
+        (hex_of (Crypto.Aes.encrypt_block ~rounds key block)))
+    [
+      (1, "b5f99471dbcf93fe17d6cfa06c61a619");
+      (2, "112cd562f390ce6a66520f457751389f");
+      (5, "0a993eb8502aa4cdcfdfa67a69b64f89");
+      (9, "0040a2709b25cddd862819921f3de761");
+    ]
+
 let test_bad_args () =
   Alcotest.check_raises "short key"
     (Invalid_argument "Crypto.Aes.expand_key: key must be 16 bytes") (fun () ->
@@ -63,6 +83,27 @@ let test_bad_args () =
   Alcotest.check_raises "rounds 0"
     (Invalid_argument "Crypto.Aes.encrypt_block: rounds must be in [1, 10]")
     (fun () -> ignore (Crypto.Aes.encrypt_block ~rounds:0 key (String.make 16 'b')))
+
+let test_ctr_bad_args () =
+  let entropy = Crypto.Entropy.bytes (Crypto.Entropy.create ~seed:1L) in
+  List.iter
+    (fun rounds ->
+      Alcotest.check_raises
+        (Printf.sprintf "rounds %d" rounds)
+        (Invalid_argument "Crypto.Ctr.create: rounds must be in [1, 10]")
+        (fun () -> ignore (Crypto.Ctr.create ~rounds ~entropy ())))
+    [ 0; 11 ];
+  Alcotest.check_raises "rekey_interval 0"
+    (Invalid_argument "Crypto.Ctr.create: rekey_interval must be positive")
+    (fun () -> ignore (Crypto.Ctr.create ~rekey_interval:0 ~entropy ()));
+  (* rejected when the generator is built, not at its first draw *)
+  Alcotest.check_raises "generator with AES-0"
+    (Invalid_argument "Crypto.Ctr.create: rounds must be in [1, 10]")
+    (fun () ->
+      ignore
+        (Rng.Generator.create
+           (Rng.Scheme.Aes_ctr { rounds = 0 })
+           ~entropy:(Crypto.Entropy.create ~seed:1L)))
 
 let prop_aes_injective_per_key =
   QCheck2.Test.make ~count:100 ~name:"distinct blocks encrypt distinctly"
@@ -106,6 +147,71 @@ let test_ctr_rounds_matter () =
   let b = Crypto.Ctr.create ~rounds:10 ~entropy:(fixed_entropy 1L) () in
   Alcotest.(check bool) "1 vs 10 rounds differ" true
     (Crypto.Ctr.next_u64 a <> Crypto.Ctr.next_u64 b)
+
+(* The first 32 draws of [fixed_entropy 1L] with a rekey every 4
+   blocks (three rekeys), pinned bit for bit.  Under AES-1 a block's
+   bytes 0-7 do not depend on the counter, so the first value of each
+   pair is constant per key. *)
+let keystream_aes1 =
+  [
+    0x210336fab99c2076L; 0xd94dc0067ec9951bL; 0x210336fab99c2076L; 0xd94dc0067ec995b8L;
+    0x210336fab99c2076L; 0xd94dc0067ec995a6L; 0x210336fab99c2076L; 0xd94dc0067ec99511L;
+    0xaba560766d770c63L; 0xaef9e986ad480109L; 0xaba560766d770c63L; 0xaef9e986ad4801c4L;
+    0xaba560766d770c63L; 0xaef9e986ad480161L; 0xaba560766d770c63L; 0xaef9e986ad48016eL;
+    0xcc00a5a629d2ddc2L; 0x52b325f11936355cL; 0xcc00a5a629d2ddc2L; 0x52b325f119363554L;
+    0xcc00a5a629d2ddc2L; 0x52b325f1193635feL; 0xcc00a5a629d2ddc2L; 0x52b325f1193635e6L;
+    0xc5cbe720a1cda26bL; 0x537aecf66083b4cfL; 0xc5cbe720a1cda26bL; 0x537aecf66083b488L;
+    0xc5cbe720a1cda26bL; 0x537aecf66083b490L; 0xc5cbe720a1cda26bL; 0x537aecf66083b413L;
+  ]
+
+let keystream_aes10 =
+  [
+    0x8601ab3c64ad4a6bL; 0x78fc6bf8d365f5feL; 0xbd487607ed4530c7L; 0x0d79b8df6486e874L;
+    0x6a6a7b0f75f6d385L; 0x393bf30d3d92108dL; 0x8ac090761e426e6dL; 0x19521737004dda85L;
+    0xf4aa82be3f3f6097L; 0x2b56d0beefe0e232L; 0x28d5aab35a65ab03L; 0xdf90ad0fb4220ebfL;
+    0x6b2cfdff48f7432bL; 0x8a14d46d022baad7L; 0xe2b33bafb3a5af83L; 0xffe3c95c3ce9eab0L;
+    0xd5b3b8339cfe6e9fL; 0xc4bf12f185430b70L; 0xa8164d52adc36264L; 0xf243caa5b3b912e4L;
+    0xf9d890c558768003L; 0x57f0f246100deafbL; 0xb848211cf3938f1eL; 0x87ee5976007c74adL;
+    0x43f25f651cbf57d9L; 0xdcf942b57b223758L; 0xaccfcaa28e48fd4eL; 0x9352d8deb8efb16aL;
+    0x4bfbf64011983d37L; 0x9ccdfbafcf558d33L; 0x81563c18bf10c084L; 0x4c094abf1d8ba959L;
+  ]
+
+let test_ctr_keystream_golden () =
+  List.iter
+    (fun (rounds, expected) ->
+      let ctr =
+        Crypto.Ctr.create ~rounds ~rekey_interval:4 ~entropy:(fixed_entropy 1L) ()
+      in
+      List.iteri
+        (fun i v ->
+          Alcotest.(check int64)
+            (Printf.sprintf "AES-%d draw %d" rounds i)
+            v (Crypto.Ctr.next_u64 ctr))
+        expected;
+      Alcotest.(check int) (Printf.sprintf "AES-%d rekeys" rounds) 3
+        (Crypto.Ctr.rekeys ctr))
+    [ (1, keystream_aes1); (10, keystream_aes10) ]
+
+let u64_le s off =
+  let v = ref 0L in
+  for i = 7 downto 0 do
+    v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (Char.code s.[off + i]))
+  done;
+  !v
+
+let prop_ctr_u64_halves_of_block =
+  QCheck2.Test.make ~count:50 ~name:"next_u64 pairs are the LE halves of next_block"
+    QCheck2.Gen.(triple int64 (int_range 1 10) (int_range 1 6))
+    (fun (seed, rounds, rekey_interval) ->
+      let a = Crypto.Ctr.create ~rounds ~rekey_interval ~entropy:(fixed_entropy seed) () in
+      let b = Crypto.Ctr.create ~rounds ~rekey_interval ~entropy:(fixed_entropy seed) () in
+      List.for_all
+        (fun _ ->
+          let lo = Crypto.Ctr.next_u64 a in
+          let hi = Crypto.Ctr.next_u64 a in
+          let block = Crypto.Ctr.next_block b in
+          Int64.equal lo (u64_le block 0) && Int64.equal hi (u64_le block 8))
+        (List.init 24 Fun.id))
 
 let prop_ctr_no_short_cycles =
   QCheck2.Test.make ~count:20 ~name:"no repeated u64 in 512 draws"
@@ -189,6 +295,7 @@ let () =
           Alcotest.test_case "FIPS-197 appendix C" `Quick test_fips197_appendix_c;
           Alcotest.test_case "SP800-38A ECB" `Quick test_nist_ecb_vector;
           Alcotest.test_case "reduced rounds differ" `Quick test_reduced_rounds_differ;
+          Alcotest.test_case "reduced rounds golden" `Quick test_reduced_rounds_golden;
           Alcotest.test_case "argument checks" `Quick test_bad_args;
           qt prop_aes_injective_per_key;
         ] );
@@ -199,6 +306,9 @@ let () =
           Alcotest.test_case "rekey" `Quick test_ctr_rekey;
           Alcotest.test_case "rounds matter" `Quick test_ctr_rounds_matter;
           qt prop_ctr_no_short_cycles;
+          Alcotest.test_case "keystream golden" `Quick test_ctr_keystream_golden;
+          Alcotest.test_case "argument checks" `Quick test_ctr_bad_args;
+          qt prop_ctr_u64_halves_of_block;
         ] );
       ( "rng",
         [
