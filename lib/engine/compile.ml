@@ -13,13 +13,20 @@
    evaluated — and some operands are evaluated lazily (Select reads only
    the taken arm).  A failed resolution therefore compiles to an [Strap]
    operand (or a trailing trap op for branch targets) that replays the
-   reference exception at the exact evaluation point. *)
+   reference exception at the exact evaluation point.
+
+   Registers outside [0, nregs) (IR the verifier rejects) get the same
+   treatment, since frames are accessed unchecked: a read compiles to a
+   [Bad_register] trap, and a write goes to a spare frame slot and is
+   followed by an [Obad_reg] op, which raises the reference's
+   out-of-bounds error at the point the reference's write would. *)
 
 type trap =
   | Unknown_global of string  (* Invalid_argument, as Exec.global_addr *)
   | Unknown_func_ref of string  (* Memory.Fault, as Exec's eval *)
   | Unknown_callee of string  (* Memory.Fault, as Exec's do_call *)
   | Missing_label  (* Not_found, as Hashtbl.find in Exec's run_block *)
+  | Bad_register  (* Invalid_argument, as Exec's register array *)
 
 type src = Sreg of int | Simm of int64 | Strap of trap
 
@@ -47,11 +54,12 @@ type op =
   | Oret of src  (** void returns encode as [Oret (Simm 0)] *)
   | Ounreachable of string  (** function name, for the fault message *)
   | Otrap  (** jump target of branches to labels that do not exist *)
+  | Obad_reg  (** follows a write to an out-of-range register *)
 
 type bfunc = {
   fname : string;
   param_regs : int array;
-  nregs : int;
+  nregs : int;  (* frame slots: the registers, then the spare slot *)
   code : op array;
   src_blocks : Ir.Func.block list;  (* spine identity, for cache checks *)
   src_shape : (Ir.Instr.t list * Ir.Instr.terminator) array;
@@ -71,6 +79,7 @@ let token_base = Machine.Exec.func_token_base
 (* ------------------------------------------------------------------ *)
 
 type ctx = {
+  mutable nregs : int;  (* the current function's register count *)
   globals : (string, int) Hashtbl.t;
   func_tokens : (string, int) Hashtbl.t;
   func_index : (string, int) Hashtbl.t;
@@ -80,8 +89,10 @@ type ctx = {
   mutable next_slot : int;
 }
 
+let in_range ctx r = r >= 0 && r < ctx.nregs
+
 let resolve ctx = function
-  | Ir.Instr.Reg r -> Sreg r
+  | Ir.Instr.Reg r -> if in_range ctx r then Sreg r else Strap Bad_register
   | Ir.Instr.Imm i -> Simm i
   | Ir.Instr.Global g -> (
       match Hashtbl.find_opt ctx.globals g with
@@ -102,10 +113,12 @@ let intrinsic_slot ctx name =
       Hashtbl.replace ctx.intrinsic_slots name s;
       s
 
+(* [out] maps an out-of-range register to the spare slot [ctx.nregs] *)
 let compile_instr ctx (i : Ir.Instr.t) : op =
   let src o = resolve ctx o in
   let srcs l = Array.of_list (List.map src l) in
-  let dst_of = function Some d -> d | None -> -1 in
+  let out d = if in_range ctx d then d else ctx.nregs in
+  let dst_of = function Some d -> out d | None -> -1 in
   match i with
   | Binop { dst; op; lhs; rhs } ->
       let cost =
@@ -113,26 +126,32 @@ let compile_instr ctx (i : Ir.Instr.t) : op =
         | Sdiv | Udiv | Srem | Urem -> Machine.Cost.div
         | _ -> Machine.Cost.alu
       in
-      Obinop { dst; cost; op; lhs = src lhs; rhs = src rhs }
-  | Icmp { dst; op; lhs; rhs } -> Oicmp { dst; op; lhs = src lhs; rhs = src rhs }
+      Obinop { dst = out dst; cost; op; lhs = src lhs; rhs = src rhs }
+  | Icmp { dst; op; lhs; rhs } ->
+      Oicmp { dst = out dst; op; lhs = src lhs; rhs = src rhs }
   | Select { dst; cond; if_true; if_false } ->
       Oselect
-        { dst; cond = src cond; if_true = src if_true; if_false = src if_false }
-  | Sext { dst; width; value } -> Osext { dst; width; value = src value }
-  | Trunc { dst; width; value } -> Otrunc { dst; width; value = src value }
+        {
+          dst = out dst;
+          cond = src cond;
+          if_true = src if_true;
+          if_false = src if_false;
+        }
+  | Sext { dst; width; value } -> Osext { dst = out dst; width; value = src value }
+  | Trunc { dst; width; value } -> Otrunc { dst = out dst; width; value = src value }
   | Gep { dst; base; offset; index } ->
       let index, scale =
         match index with None -> (Simm 0L, 0) | Some (i, scale) -> (src i, scale)
       in
-      Ogep { dst; base = src base; offset; index; scale }
+      Ogep { dst = out dst; base = src base; offset; index; scale }
   | Load { dst; ty; addr } ->
-      Oload { dst; width = Ir.Ty.scalar_width ty; addr = src addr }
+      Oload { dst = out dst; width = Ir.Ty.scalar_width ty; addr = src addr }
   | Store { ty; value; addr } ->
       Ostore { width = Ir.Ty.scalar_width ty; value = src value; addr = src addr }
   | Alloca { dst; ty; count; name = _ } ->
       Oalloca
         {
-          dst;
+          dst = out dst;
           elt = Ir.Ty.size ty;
           align = max 1 (Ir.Ty.alignment ty);
           count = Option.map src count;
@@ -153,16 +172,33 @@ let compile_instr ctx (i : Ir.Instr.t) : op =
         { dst = dst_of dst; slot = intrinsic_slot ctx name; name; args = srcs args }
 
 let compile_func ctx (f : Ir.Func.t) : bfunc =
-  (* Layout: blocks in order, one op per instruction plus one per
-     terminator, then a single trailing trap op shared by branches to
-     labels that do not exist. *)
+  ctx.nregs <- max 1 (Ir.Func.reg_count f);
+  let out_of_range r = not (in_range ctx r) in
+  let bad_params = List.exists (fun (r, _) -> out_of_range r) f.params in
+  (* each instruction's ops: itself, then [Obad_reg] after a bad write *)
+  let ops i =
+    let op = compile_instr ctx i in
+    match Ir.Instr.defined_reg i with
+    | Some d when out_of_range d -> [ op; Obad_reg ]
+    | _ -> [ op ]
+  in
+  let blocks =
+    List.map
+      (fun (b : Ir.Func.block) -> (b, List.concat_map ops b.instrs))
+      f.blocks
+  in
+  (* Layout: an [Obad_reg] prologue if a parameter is out of range,
+     blocks in order with one op per terminator after their
+     instructions' ops, then a single trailing trap op shared by
+     branches to labels that do not exist. *)
   let starts = Hashtbl.create 16 in
   let len =
     List.fold_left
-      (fun off (b : Ir.Func.block) ->
+      (fun off ((b : Ir.Func.block), body) ->
         Hashtbl.replace starts b.label off;
-        off + List.length b.instrs + 1)
-      0 f.blocks
+        off + List.length body + 1)
+      (if bad_params then 1 else 0)
+      blocks
   in
   let trap_idx = len in
   let target l =
@@ -170,32 +206,36 @@ let compile_func ctx (f : Ir.Func.t) : bfunc =
   in
   let code = Array.make (len + 1) Otrap in
   let pos = ref 0 in
+  let emit op =
+    code.(!pos) <- op;
+    incr pos
+  in
+  if bad_params then emit Obad_reg;
   List.iter
-    (fun (b : Ir.Func.block) ->
-      List.iter
-        (fun i ->
-          code.(!pos) <- compile_instr ctx i;
-          incr pos)
-        b.instrs;
-      (code.(!pos) <-
-         (match b.term with
-         | Ir.Instr.Ret None -> Oret (Simm 0L)
-         | Ir.Instr.Ret (Some v) -> Oret (resolve ctx v)
-         | Ir.Instr.Br l -> Ojmp (target l)
-         | Ir.Instr.Cond_br { cond; if_true; if_false } ->
-             Ocondbr
-               {
-                 cond = resolve ctx cond;
-                 if_true = target if_true;
-                 if_false = target if_false;
-               }
-         | Ir.Instr.Unreachable -> Ounreachable f.name));
-      incr pos)
-    f.blocks;
+    (fun ((b : Ir.Func.block), body) ->
+      List.iter emit body;
+      emit
+        (match b.term with
+        | Ir.Instr.Ret None -> Oret (Simm 0L)
+        | Ir.Instr.Ret (Some v) -> Oret (resolve ctx v)
+        | Ir.Instr.Br l -> Ojmp (target l)
+        | Ir.Instr.Cond_br { cond; if_true; if_false } ->
+            Ocondbr
+              {
+                cond = resolve ctx cond;
+                if_true = target if_true;
+                if_false = target if_false;
+              }
+        | Ir.Instr.Unreachable -> Ounreachable f.name))
+    blocks;
   {
     fname = f.name;
-    param_regs = Array.of_list (List.map fst f.params);
-    nregs = max 1 (Ir.Func.reg_count f);
+    param_regs =
+      Array.of_list
+        (List.map
+           (fun (r, _) -> if out_of_range r then ctx.nregs else r)
+           f.params);
+    nregs = ctx.nregs + 1;
     code;
     src_blocks = f.blocks;
     src_shape =
@@ -209,6 +249,7 @@ let compile (st : Machine.Exec.state) : program =
   List.iteri (fun i (f : Ir.Func.t) -> Hashtbl.replace func_index f.name i) prog.funcs;
   let ctx =
     {
+      nregs = 0;
       globals = st.globals;
       func_tokens = st.func_tokens;
       func_index;

@@ -12,13 +12,18 @@
     interpreter only raises when a broken operand is actually
     evaluated, so they compile to {!constructor:Strap} operands (or the
     {!constructor:Otrap} op for branch targets) that replay the exact
-    reference exception at the exact evaluation point. *)
+    reference exception at the exact evaluation point.  Registers
+    outside the function's register count (IR the verifier rejects)
+    are handled the same way: reads trap, and writes go to a spare
+    frame slot followed by {!constructor:Obad_reg}, so frames can be
+    accessed without bounds checks. *)
 
 type trap =
   | Unknown_global of string
   | Unknown_func_ref of string
   | Unknown_callee of string
   | Missing_label
+  | Bad_register
 
 type src = Sreg of int | Simm of int64 | Strap of trap
 
@@ -42,11 +47,14 @@ type op =
   | Oret of src
   | Ounreachable of string
   | Otrap
+  | Obad_reg
 
 type bfunc = {
   fname : string;
   param_regs : int array;
   nregs : int;
+      (** frame slots: the function's registers, then a spare slot that
+          takes writes to out-of-range registers *)
   code : op array;
   src_blocks : Ir.Func.block list;
   src_shape : (Ir.Instr.t list * Ir.Instr.terminator) array;

@@ -79,36 +79,34 @@ let find t addr =
     (fun s -> addr >= s.base && addr < s.base + Bytes.length s.bytes)
     t.segs
 
-(* Hot path for every load/store: no closures, no [option] allocation,
-   and a one-element cache of the last segment hit (accesses cluster on
-   the stack or one data segment, so the cache almost always hits and
-   skips the linear scan). *)
-let locate t ~op addr size =
+(* Slow path of [locate]: a linear scan that refreshes the cache.  It
+   is a top-level function rather than a local closure so that a cache
+   miss allocates nothing.  Segments are disjoint, so containment of
+   [addr] identifies the unique candidate; an access that starts inside
+   a segment but overruns it is out of bounds. *)
+let rec scan t i ~op addr size =
+  let segs = t.segs in
+  if i >= Array.length segs then raise (Fault (Out_of_bounds { addr; size; op }))
+  else
+    let s = Array.unsafe_get segs i in
+    if addr >= s.base && addr + size <= s.base + Bytes.length s.bytes then begin
+      t.last <- i;
+      s
+    end
+    else scan t (i + 1) ~op addr size
+
+(* Hot path for every load/store, inlined into each accessor: no
+   closures, no [option] allocation, and a one-element cache of the
+   last segment hit (accesses cluster on the stack or one data segment,
+   so the cache almost always hits and skips the linear scan). *)
+let[@inline] locate t ~op addr size =
   (match t.on_access with Some f -> f () | None -> ());
   if addr = 0 then raise (Fault Null_dereference);
-  let segs = t.segs in
-  let s = Array.unsafe_get segs t.last in
+  let s = Array.unsafe_get t.segs t.last in
   if addr >= s.base && addr + size <= s.base + Bytes.length s.bytes then s
-  else begin
-    let n = Array.length segs in
-    let rec scan i =
-      if i >= n then raise (Fault (Out_of_bounds { addr; size; op }))
-      else
-        let s = Array.unsafe_get segs i in
-        (* segments are disjoint, so containment of [addr] identifies
-           the unique candidate; an access that starts inside a segment
-           but overruns it is out of bounds, exactly as before *)
-        if addr >= s.base && addr + size <= s.base + Bytes.length s.bytes
-        then begin
-          t.last <- i;
-          s
-        end
-        else scan (i + 1)
-    in
-    scan 0
-  end
+  else scan t 0 ~op addr size
 
-let touch s off size =
+let[@inline] touch s off size =
   let first = off / page_size and last = (off + size - 1) / page_size in
   for p = first to last do
     Bytes.unsafe_set s.touched p '\001'
@@ -128,6 +126,55 @@ let store t ~width addr v =
   let off = addr - s.base in
   touch s off width;
   Sutil.Bytecodec.set s.bytes ~width off v
+
+(* Frame-slot accessors.  A frame is a [Bytes.t] of native-endian
+   64-bit slots owned by the bytecode engine; memory is little-endian.
+   Every width has its own arm, so no [int64] is boxed between the
+   segment bytes and the frame.  The checks run in {!load}/{!store}'s
+   order, and an unsupported width fails after them with
+   {!Sutil.Bytecodec}'s message, as {!load}/{!store} do. *)
+external get16u : Bytes.t -> int -> int = "%caml_bytes_get16u"
+external get32u : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set16u : Bytes.t -> int -> int -> unit = "%caml_bytes_set16u"
+external set32u : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
+external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+external bswap16 : int -> int = "%bswap16"
+external bswap32 : int32 -> int32 = "%bswap_int32"
+external bswap64 : int64 -> int64 = "%bswap_int64"
+
+let[@inline] le16 v = if Sys.big_endian then bswap16 v else v
+let[@inline] le32 v = if Sys.big_endian then bswap32 v else v
+let[@inline] le64 v = if Sys.big_endian then bswap64 v else v
+
+let load_into t ~width addr frame slot =
+  let s = locate t ~op:"load" addr width in
+  let off = addr - s.base in
+  touch s off width;
+  let b = s.bytes in
+  match width with
+  | 1 -> set64u frame slot (Int64.of_int (Char.code (Bytes.unsafe_get b off)))
+  | 2 -> set64u frame slot (Int64.of_int (le16 (get16u b off)))
+  | 4 ->
+      set64u frame slot
+        (Int64.of_int (Int32.to_int (le32 (get32u b off)) land 0xffffffff))
+  | 8 -> set64u frame slot (le64 (get64u b off))
+  | _ -> invalid_arg (Printf.sprintf "Sutil.Bytecodec.get: bad width %d" width)
+
+let store_from t ~width addr frame slot =
+  let s = locate t ~op:"store" addr width in
+  if s.perm = Read_only then raise (Fault (Write_protected { addr }));
+  let off = addr - s.base in
+  touch s off width;
+  let b = s.bytes in
+  match width with
+  | 1 ->
+      Bytes.unsafe_set b off
+        (Char.unsafe_chr (Int64.to_int (get64u frame slot) land 0xff))
+  | 2 -> set16u b off (le16 (Int64.to_int (get64u frame slot) land 0xffff))
+  | 4 -> set32u b off (le32 (Int64.to_int32 (get64u frame slot)))
+  | 8 -> set64u b off (le64 (get64u frame slot))
+  | _ -> invalid_arg (Printf.sprintf "Sutil.Bytecodec.set: bad width %d" width)
 
 let read_bytes t addr n =
   if n = 0 then ""

@@ -54,6 +54,19 @@ val load : t -> width:int -> int -> int64
 
 val store : t -> width:int -> int -> int64 -> unit
 
+val load_into : t -> width:int -> int -> Bytes.t -> int -> unit
+(** [load_into t ~width addr frame slot] is {!load}, with the result
+    written to [frame] as a native-endian 64-bit integer at byte offset
+    [slot] instead of being returned.  Same checks, faults and
+    zero-extension as {!load}; nothing is allocated unless it faults.
+    [frame] is trusted: [slot + 8] must not exceed its length. *)
+
+val store_from : t -> width:int -> int -> Bytes.t -> int -> unit
+(** [store_from t ~width addr frame slot] is {!store} of the native-endian
+    64-bit integer at byte offset [slot] of [frame].  Same checks and
+    faults as {!store}; allocation-free unless it faults.  [frame] is
+    trusted as in {!load_into}. *)
+
 val load_unchecked : t -> width:int -> int -> int64
 (** Permission-free read used by the attack framework's disclosure
     primitive (the attacker may read all mapped memory) and by

@@ -404,6 +404,382 @@ int main() { print_int(helper(2) + helper(5)); return 0; }
   check_identical "trace events" traces
 
 (* ------------------------------------------------------------------ *)
+(* Parity of the unboxed dispatch paths: inline arithmetic, frame-slot
+   loads and stores, and calls that fill the callee's frame directly.
+   An OCaml exception escaping [run] is part of the observable. *)
+
+let run_traced_both prog =
+  List.map
+    (fun (label, (bk : Machine.Backend.t)) ->
+      let st = Machine.Exec.prepare prog in
+      let t = Machine.Trace.create () in
+      Machine.Trace.attach t st;
+      let r =
+        match bk.run st with
+        | r -> Ok r
+        | exception e -> Error (Printexc.to_string e)
+      in
+      (label, (r, Machine.Trace.events t)))
+    both
+
+let main_prog build =
+  let prog = Ir.Prog.create () in
+  Ir.Prog.add_extern prog "print_int";
+  let f = Ir.Func.create ~name:"main" ~params:[] ~returns:(Some Ir.Ty.I64) in
+  let b = Ir.Builder.create f in
+  build prog b;
+  Ir.Prog.add_func prog f;
+  prog
+
+let print b v = ignore (Ir.Builder.call b "print_int" [ v ])
+
+(* a register holding [v], so a value reaches an op from the frame
+   rather than as an immediate *)
+let in_reg b v =
+  Ir.Instr.Reg (Ir.Builder.binop b Ir.Instr.Add (Ir.Instr.Imm v) (Ir.Instr.Imm 0L))
+
+let expect_outcome what expected results =
+  List.iter
+    (fun (label, (r, _)) ->
+      match r with
+      | Ok (o, _) when o = expected -> ()
+      | Ok (o, _) ->
+          Alcotest.failf "%s: %s: got %s" what label
+            (Machine.Exec.outcome_to_string o)
+      | Error e -> Alcotest.failf "%s: %s: raised %s" what label e)
+    results;
+  check_identical what results
+
+let expect_raise what expected results =
+  List.iter
+    (fun (label, (r, _)) ->
+      match r with
+      | Error e -> Alcotest.(check string) (what ^ ": " ^ label) expected e
+      | Ok (o, _) ->
+          Alcotest.failf "%s: %s: expected %s, got %s" what label expected
+            (Machine.Exec.outcome_to_string o))
+    results;
+  check_identical what results
+
+let test_parity_division_by_zero () =
+  List.iter
+    (fun (name, op) ->
+      List.iter
+        (fun zero_in_reg ->
+          let prog =
+            main_prog (fun _ b ->
+                let zero = if zero_in_reg then in_reg b 0L else Ir.Instr.Imm 0L in
+                let q = Ir.Builder.binop b op (Ir.Instr.Imm 7L) zero in
+                Ir.Builder.ret b (Some (Ir.Instr.Reg q)))
+          in
+          expect_outcome
+            (Printf.sprintf "%s by zero%s" name
+               (if zero_in_reg then " (register)" else ""))
+            (Machine.Exec.Fault
+               { fault = Machine.Memory.Misc "division by zero"; func = "main" })
+            (run_traced_both prog))
+        [ false; true ])
+    Ir.Instr.[ ("sdiv", Sdiv); ("udiv", Udiv); ("srem", Srem); ("urem", Urem) ]
+
+(* every binop and icmp on high-bit and negative operands; the
+   expected output is Machine.Exec's own evaluator *)
+let test_parity_arith_values () =
+  let values =
+    [ 0L; 1L; 3L; -1L; -2L; 7L; Int64.min_int; Int64.max_int; 0x8000_0000L ]
+  in
+  let binops =
+    Ir.Instr.[ Add; Sub; Mul; Sdiv; Udiv; Srem; Urem; And; Or; Xor; Shl; Lshr; Ashr ]
+  in
+  let icmps = Ir.Instr.[ Eq; Ne; Slt; Sle; Sgt; Sge; Ult; Ule ] in
+  let pairs =
+    List.concat_map (fun a -> List.map (fun b -> (a, b)) values) values
+    |> List.filter (fun (_, b) -> b <> 0L)
+  in
+  let expected = Buffer.create 4096 in
+  let prog =
+    main_prog (fun _ b ->
+        List.iter
+          (fun (x, y) ->
+            let a = in_reg b x and c = in_reg b y in
+            List.iter
+              (fun op ->
+                Buffer.add_string expected
+                  (Int64.to_string (Machine.Exec.eval_binop op x y));
+                print b (Ir.Instr.Reg (Ir.Builder.binop b op a c)))
+              binops;
+            List.iter
+              (fun op ->
+                Buffer.add_string expected
+                  (Int64.to_string (Machine.Exec.eval_icmp op x y));
+                print b (Ir.Instr.Reg (Ir.Builder.icmp b op a c)))
+              icmps)
+          pairs;
+        Ir.Builder.ret b (Some (Ir.Instr.Imm 0L)))
+  in
+  let results = run_traced_both prog in
+  List.iter
+    (fun (label, (r, _)) ->
+      match r with
+      | Ok (_, (stats : Machine.Exec.stats)) ->
+          Alcotest.(check string) (label ^ ": values") (Buffer.contents expected)
+            stats.output
+      | Error e -> Alcotest.failf "%s raised %s" label e)
+    results;
+  check_identical "arithmetic values" results
+
+let ty_of_width = function
+  | 1 -> Ir.Ty.I8
+  | 2 -> Ir.Ty.I16
+  | 4 -> Ir.Ty.I32
+  | _ -> Ir.Ty.I64
+
+(* Each width's store writes only its bytes, its load zero-extends,
+   and sext/trunc agree with Sutil.Bytecodec — from a register value
+   (a frame-slot store) and from an immediate. *)
+let test_parity_width_roundtrip () =
+  let values =
+    [ 0x80L; 0xffL; -1L; -2L; 0x8000L; 0x7fff_ffffL; 0x8000_0000L; Int64.min_int;
+      0x1234_5678_9abc_def0L; -0x1_2345_6789L ]
+  in
+  let filler = 0x5a5a_5a5a_5a5a_5a5aL in
+  let expected = Buffer.create 1024 in
+  let prog =
+    main_prog (fun _ b ->
+        let slot = Ir.Builder.alloca b Ir.Ty.I64 in
+        List.iter
+          (fun width ->
+            let ty = ty_of_width width in
+            List.iter
+              (fun v ->
+                List.iter
+                  (fun from_reg ->
+                    let z = Sutil.Bytecodec.zext ~width v in
+                    let mask = Sutil.Bytecodec.zext ~width (-1L) in
+                    List.iter
+                      (fun x -> Buffer.add_string expected (Int64.to_string x))
+                      [ z; Sutil.Bytecodec.sext ~width z; z;
+                        Sutil.Bytecodec.sext ~width v;
+                        Int64.logor (Int64.logand filler (Int64.lognot mask)) z ];
+                    let reg r = Ir.Instr.Reg r in
+                    Ir.Builder.store b Ir.Ty.I64 ~value:(Ir.Instr.Imm filler)
+                      ~addr:(reg slot);
+                    let value = if from_reg then in_reg b v else Ir.Instr.Imm v in
+                    Ir.Builder.store b ty ~value ~addr:(reg slot);
+                    let l = Ir.Builder.load b ty (reg slot) in
+                    print b (reg l);
+                    print b (reg (Ir.Builder.sext b ~width (reg l)));
+                    print b (reg (Ir.Builder.trunc b ~width value));
+                    print b (reg (Ir.Builder.sext b ~width value));
+                    print b (reg (Ir.Builder.load b Ir.Ty.I64 (reg slot))))
+                  [ true; false ])
+              values)
+          [ 1; 2; 4; 8 ];
+        Ir.Builder.ret b (Some (Ir.Instr.Imm 0L)))
+  in
+  let results = run_traced_both prog in
+  List.iter
+    (fun (label, (r, _)) ->
+      match r with
+      | Ok (_, (stats : Machine.Exec.stats)) ->
+          Alcotest.(check string) (label ^ ": values") (Buffer.contents expected)
+            stats.output
+      | Error e -> Alcotest.failf "%s raised %s" label e)
+    results;
+  check_identical "width round trip" results
+
+(* The reference evaluates a store's value before its address: with two
+   different unresolvable operands, the value's error must win. *)
+let test_parity_store_operand_order () =
+  let store ~value ~addr =
+    main_prog (fun _ b ->
+        Ir.Builder.store b Ir.Ty.I64 ~value ~addr;
+        Ir.Builder.ret b (Some (Ir.Instr.Imm 0L)))
+  in
+  expect_raise "trapping store value"
+    "Invalid_argument(\"Machine.Exec.global_addr: no global no_such_global\")"
+    (run_traced_both
+       (store ~value:(Ir.Instr.Global "no_such_global")
+          ~addr:(Ir.Instr.Func_ref "no_such_fn")));
+  expect_outcome "trapping store value (fault)"
+    (Machine.Exec.Fault
+       {
+         fault = Machine.Memory.Misc "unknown function reference no_such_fn";
+         func = "main";
+       })
+    (run_traced_both
+       (store ~value:(Ir.Instr.Func_ref "no_such_fn")
+          ~addr:(Ir.Instr.Global "no_such_global")))
+
+(* Arguments are evaluated left to right — traps first — then the call
+   is counted and traced, then the arity fault fires, on direct and
+   indirect calls alike. *)
+let arity_prog ~indirect args =
+  main_prog (fun prog b ->
+      let f =
+        Ir.Func.create ~name:"f" ~params:[ (0, Ir.Ty.I64) ] ~returns:(Some Ir.Ty.I64)
+      in
+      let fb = Ir.Builder.create f in
+      Ir.Builder.ret fb (Some (Ir.Instr.Reg 0));
+      Ir.Prog.add_func prog f;
+      let r =
+        if indirect then
+          Ir.Builder.call_ind b ~result:true (Ir.Instr.Func_ref "f") args
+        else Ir.Builder.call b ~result:true "f" args
+      in
+      Ir.Builder.ret b (Option.map (fun r -> Ir.Instr.Reg r) r))
+
+let test_parity_arity_mismatch () =
+  List.iter
+    (fun indirect ->
+      let what s = (if indirect then "indirect " else "direct ") ^ s in
+      let arity n =
+        Machine.Exec.Fault
+          {
+            fault =
+              Machine.Memory.Misc
+                (Printf.sprintf "call to f with %d args, expected 1" n);
+            func = "f";
+          }
+      in
+      expect_outcome (what "too many") (arity 2)
+        (run_traced_both (arity_prog ~indirect Ir.Instr.[ Imm 1L; Imm 2L ]));
+      expect_outcome (what "too few") (arity 0)
+        (run_traced_both (arity_prog ~indirect []));
+      expect_raise (what "surplus argument traps")
+        "Invalid_argument(\"Machine.Exec.global_addr: no global no_such_global\")"
+        (run_traced_both
+           (arity_prog ~indirect
+              Ir.Instr.[ Imm 1L; Global "no_such_global"; Func_ref "no_such_fn" ]));
+      expect_outcome (what "first trapping argument wins")
+        (Machine.Exec.Fault
+           {
+             fault = Machine.Memory.Misc "unknown function reference no_such_fn";
+             func = "main";
+           })
+        (run_traced_both
+           (arity_prog ~indirect
+              Ir.Instr.[ Func_ref "no_such_fn"; Global "no_such_global" ]));
+      expect_outcome (what "matching arity") (Machine.Exec.Exit 5L)
+        (run_traced_both (arity_prog ~indirect Ir.Instr.[ Imm 5L ])))
+    [ false; true ]
+
+(* A call without a destination drops the callee's value; a call with
+   one gets 0 from a void callee. *)
+let test_parity_void_calls () =
+  let prog =
+    main_prog (fun prog b ->
+        let value =
+          Ir.Func.create ~name:"value" ~params:[] ~returns:(Some Ir.Ty.I64)
+        in
+        Ir.Builder.ret (Ir.Builder.create value) (Some (Ir.Instr.Imm 42L));
+        let void = Ir.Func.create ~name:"void" ~params:[] ~returns:None in
+        Ir.Builder.ret (Ir.Builder.create void) None;
+        Ir.Prog.add_func prog value;
+        Ir.Prog.add_func prog void;
+        let kept = in_reg b 7L in
+        ignore (Ir.Builder.call b "value" []);
+        ignore (Ir.Builder.call_ind b (Ir.Instr.Func_ref "value") []);
+        let r = Option.get (Ir.Builder.call b ~result:true "void" []) in
+        print b (Ir.Instr.Reg r);
+        print b kept;
+        Ir.Builder.ret b (Some kept))
+  in
+  let results = run_traced_both prog in
+  expect_outcome "void calls" (Machine.Exec.Exit 7L) results;
+  List.iter
+    (fun (label, (r, _)) ->
+      match r with
+      | Ok (_, (stats : Machine.Exec.stats)) ->
+          Alcotest.(check string) (label ^ ": output") "07" stats.output
+      | Error _ -> ())
+    results
+
+(* Registers outside the function's register count (IR the verifier
+   rejects): frames are accessed unchecked, so the bytecode compiles
+   these to traps that raise the reference's out-of-bounds error at
+   the same point — a read before any side effect of its op, a write
+   after them. *)
+let test_parity_out_of_range_registers () =
+  let oob = "Invalid_argument(\"index out of bounds\")" in
+  let bad_read =
+    main_prog (fun _ b ->
+        print b (Ir.Instr.Imm 1L);
+        let r =
+          Ir.Builder.binop b Ir.Instr.Add (Ir.Instr.Reg 99) (Ir.Instr.Imm 1L)
+        in
+        Ir.Builder.ret b (Some (Ir.Instr.Reg r)))
+  in
+  expect_raise "read of register 99" oob (run_traced_both bad_read);
+  let bad_write ~dst =
+    main_prog (fun _ b ->
+        (* the load's fault would come first if the write were early *)
+        (Ir.Builder.current_block b).instrs <-
+          [ Ir.Instr.Load { dst; ty = Ir.Ty.I64; addr = Ir.Instr.Imm 0L } ];
+        Ir.Builder.ret b (Some (Ir.Instr.Imm 0L)))
+  in
+  List.iter
+    (fun dst ->
+      expect_outcome
+        (Printf.sprintf "faulting load into register %d" dst)
+        (Machine.Exec.Fault
+           { fault = Machine.Memory.Null_dereference; func = "main" })
+        (run_traced_both (bad_write ~dst)))
+    [ 99; -1 ];
+  (* [f] returns 3 from parameter register [param]; main runs [body] *)
+  let with_callee ~param body =
+    main_prog (fun prog b ->
+        let f =
+          Ir.Func.create ~name:"f" ~params:[ (param, Ir.Ty.I64) ]
+            ~returns:(Some Ir.Ty.I64)
+        in
+        Ir.Builder.ret (Ir.Builder.create f) (Some (Ir.Instr.Imm 3L));
+        Ir.Prog.add_func prog f;
+        (Ir.Builder.current_block b).instrs <- body;
+        Ir.Builder.ret b (Some (Ir.Instr.Imm 0L)))
+  in
+  let add dst =
+    Ir.Instr.Binop
+      { dst; op = Ir.Instr.Add; lhs = Ir.Instr.Imm 1L; rhs = Ir.Instr.Imm 2L }
+  in
+  let call dst = Ir.Instr.Call { dst; callee = "f"; args = [ Ir.Instr.Imm 1L ] } in
+  List.iter
+    (fun dst ->
+      expect_raise (Printf.sprintf "write of register %d" dst) oob
+        (run_traced_both (with_callee ~param:0 [ add dst; call None ])))
+    [ 99; -1 ];
+  (* the callee runs, returns and is traced before the write fails *)
+  expect_raise "call into register 99" oob
+    (run_traced_both (with_callee ~param:0 [ call (Some 99) ]));
+  expect_raise "parameter register -1" oob
+    (run_traced_both (with_callee ~param:(-1) [ call None ]))
+
+(* ------------------------------------------------------------------ *)
+(* Allocation: the dispatch loop allocates only on calls, builtins,
+   intrinsics, trace events and faults, so a loop-dominated kernel
+   stays far below one minor word per executed instruction.  The count
+   is deterministic for a given binary. *)
+
+let test_bytecode_minor_words () =
+  let w = Option.get (Apps.Spec.find "mcf") in
+  let prog = Lazy.force w.program in
+  let run () =
+    let st = Machine.Exec.prepare prog in
+    Machine.Exec.set_input st (Machine.Exec.input_string w.input);
+    let w0 = Gc.minor_words () in
+    let outcome, stats = Engine.Interp.run st in
+    let words = Gc.minor_words () -. w0 in
+    Alcotest.(check bool) "mcf exits" true
+      (match outcome with Machine.Exec.Exit _ -> true | _ -> false);
+    words /. float_of_int stats.instr_count
+  in
+  (* the first run compiles and caches the bytecode *)
+  ignore (run ());
+  let per_instr = run () in
+  if per_instr >= 0.5 then
+    Alcotest.failf "mcf on bytecode: %.3f minor words per instruction (>= 0.5)"
+      per_instr
+
+(* ------------------------------------------------------------------ *)
 (* Backend registry *)
 
 let test_backend_registry () =
@@ -481,6 +857,22 @@ let () =
           Alcotest.test_case "select arms stay lazy" `Quick
             test_parity_select_lazy_arms;
           Alcotest.test_case "trace events" `Quick test_parity_trace_events;
+          Alcotest.test_case "division by zero" `Quick
+            test_parity_division_by_zero;
+          Alcotest.test_case "arithmetic values" `Quick test_parity_arith_values;
+          Alcotest.test_case "load/store widths" `Quick
+            test_parity_width_roundtrip;
+          Alcotest.test_case "store operand order" `Quick
+            test_parity_store_operand_order;
+          Alcotest.test_case "arity mismatch" `Quick test_parity_arity_mismatch;
+          Alcotest.test_case "void calls" `Quick test_parity_void_calls;
+          Alcotest.test_case "out-of-range registers" `Quick
+            test_parity_out_of_range_registers;
+        ] );
+      ( "alloc",
+        [
+          Alcotest.test_case "mcf below 0.5 minor words per instruction" `Quick
+            test_bytecode_minor_words;
         ] );
       ( "backend",
         [ Alcotest.test_case "registry" `Quick test_backend_registry ] );

@@ -74,6 +74,76 @@ let test_cstring () =
   Machine.Memory.write_bytes m 0x10000 "hello\000world";
   Alcotest.(check string) "stops at NUL" "hello" (Machine.Memory.cstring m 0x10000)
 
+(* The frame-slot entry points are load/store with the value in a
+   native-endian 64-bit frame slot: same bytes, same zero-extension,
+   same faults. *)
+let test_frame_slot_access () =
+  let m = mk_mem () in
+  let frame = Bytes.make 16 '\000' in
+  List.iter
+    (fun width ->
+      List.iter
+        (fun v ->
+          Bytes.set_int64_ne frame 8 v;
+          Machine.Memory.store_from m ~width 0x10020 frame 8;
+          Alcotest.(check int64)
+            (Printf.sprintf "store_from width %d of %Ld" width v)
+            (Sutil.Bytecodec.zext ~width v)
+            (Machine.Memory.load m ~width 0x10020);
+          Machine.Memory.store m ~width 0x10030 v;
+          Machine.Memory.load_into m ~width 0x10030 frame 0;
+          Alcotest.(check int64)
+            (Printf.sprintf "load_into width %d of %Ld zero-extends" width v)
+            (Sutil.Bytecodec.zext ~width v)
+            (Bytes.get_int64_ne frame 0);
+          Alcotest.(check int64) "neighbouring slot untouched" v
+            (Bytes.get_int64_ne frame 8))
+        [ -1L; -2L; 0x80L; 0x8000L; 0x8000_0000L; Int64.min_int;
+          0x1234_5678_9abc_def0L ])
+    [ 1; 2; 4; 8 ];
+  let fault f =
+    match f () with
+    | () -> None
+    | exception Machine.Memory.Fault x -> Some x
+  in
+  let same what a b =
+    Alcotest.(check bool) what true (fault a = fault b && fault a <> None)
+  in
+  let load addr () = ignore (Machine.Memory.load m ~width:4 addr) in
+  let load_into addr () = Machine.Memory.load_into m ~width:4 addr frame 0 in
+  let store addr () = Machine.Memory.store m ~width:4 addr 1L in
+  let store_from addr () = Machine.Memory.store_from m ~width:4 addr frame 0 in
+  List.iter
+    (fun addr ->
+      same (Printf.sprintf "load fault at 0x%x" addr) (load addr) (load_into addr);
+      same (Printf.sprintf "store fault at 0x%x" addr) (store addr)
+        (store_from addr))
+    [ 0; 0x999999; 0x10ffe ];
+  same "write-protected" (store 0x1000) (store_from 0x1000)
+
+(* A miss of the one-segment cache scans the segment table without
+   allocating: alternating stack and data accesses miss every time. *)
+let test_locate_miss_allocation_free () =
+  let m =
+    Machine.Memory.create
+      [
+        ("rodata", 0x10000, 4096, Machine.Memory.Read_only);
+        ("data", 0x200000, 4096, Machine.Memory.Read_write);
+        ("heap", 0x400000, 4096, Machine.Memory.Read_write);
+        ("stack", 0xcff000, 4096, Machine.Memory.Read_write);
+      ]
+  in
+  let frame = Bytes.make 8 '\000' in
+  Machine.Memory.load_into m ~width:8 0xcff008 frame 0;
+  let before = Gc.minor_words () in
+  for i = 1 to 10_000 do
+    Machine.Memory.load_into m ~width:8
+      (if i land 1 = 0 then 0xcff008 else 0x200008)
+      frame 0
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check (float 0.)) "minor words for 10 000 missing loads" 0. words
+
 (* ------------------------------------------------------------------ *)
 (* Exec: faults, builtins, accounting *)
 
@@ -429,6 +499,9 @@ let () =
           Alcotest.test_case "overlap rejected" `Quick test_memory_overlap_rejected;
           Alcotest.test_case "touched pages" `Quick test_touched_pages;
           Alcotest.test_case "cstring" `Quick test_cstring;
+          Alcotest.test_case "frame-slot access" `Quick test_frame_slot_access;
+          Alcotest.test_case "locate miss allocation-free" `Quick
+            test_locate_miss_allocation_free;
         ] );
       ( "exec",
         [
