@@ -7,6 +7,7 @@
      smokestackc ir --harden prog.c
      smokestackc pbox prog.c
      smokestackc serve --sessions 1300 --jobs 8 --json BENCH_server.json
+     smokestackc experiments --jobs 2 -o EXPERIMENTS.md
 
    Exit codes: 0 clean exit, 1 non-zero program exit (or internal
    error), 2 usage error, 3 compile/parse error, 4 runtime fault
@@ -1389,6 +1390,103 @@ let attack_cmd =
       $ budget_arg $ store_arg $ engine_arg $ jobs_arg $ json_arg
       $ leak_guided_flag)
 
+let experiments_cmd =
+  let action engine jobs json_dir output entries =
+    (match jobs with
+    | Some j when j < 1 -> usage_fail "experiments: --jobs must be >= 1"
+    | _ -> ());
+    Machine.Backend.set_default engine;
+    (* every output is opened before the first experiment runs: a bad
+       path fails in milliseconds, not after the whole report *)
+    let oc =
+      match output with
+      | None -> stdout
+      | Some path -> (
+          try open_out_bin path
+          with Sys_error msg -> usage_fail "experiments: -o %s" msg)
+    in
+    (match json_dir with
+    | None -> ()
+    | Some dir -> (
+        try
+          if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+          if not (Sys.is_directory dir) then
+            usage_fail "experiments: --json %s: not a directory" dir;
+          Unix.access dir [ Unix.W_OK ]
+        with
+        | Sys_error msg -> usage_fail "experiments: --json %s" msg
+        | Unix.Unix_error (e, _, _) ->
+            usage_fail "experiments: --json %s: %s" dir (Unix.error_message e)));
+    let entries =
+      match entries with
+      | [] -> Harness.Registry.all
+      | picked -> List.filter (fun e -> List.memq e picked) Harness.Registry.all
+    in
+    let started = Sys.time () in
+    let runs, pstats =
+      Sched.Pool.with_pool ?jobs @@ fun pool ->
+      let runs =
+        List.map
+          (fun (e : Harness.Registry.entry) ->
+            let r = e.run ~pool in
+            Option.iter (fun dir -> Harness.Registry.write_json ~dir r) json_dir;
+            (* headlines on stderr: stdout carries only the report *)
+            List.iter (Printf.eprintf "%s: %s\n%!" e.id) r.summary;
+            (e, r))
+          entries
+      in
+      (runs, Sched.Pool.stats pool)
+    in
+    output_string oc (Harness.Registry.report runs);
+    if output <> None then close_out oc;
+    (* host-dependent numbers go to stderr, never into the report *)
+    Printf.eprintf
+      "experiments: %d run in %.1f s of CPU time; pool: %d jobs, %d \
+       retries, %d timeouts, peak queue %d\n"
+      (List.length runs)
+      (Sys.time () -. started)
+      pstats.Sched.Pool.jobs_run pstats.Sched.Pool.retries
+      pstats.Sched.Pool.timeouts pstats.Sched.Pool.peak_queue
+  in
+  let json_arg =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "json" ] ~docv:"DIR"
+          ~doc:
+            "Also write every table of the selected experiments as \
+             $(docv)/BENCH_<name>.json (created if absent)")
+  in
+  let output_arg =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "o"; "output" ] ~docv:"FILE"
+          ~doc:"Write the report to $(docv) instead of stdout")
+  in
+  let ids_arg =
+    let ids =
+      List.map (fun (e : Harness.Registry.entry) -> (e.id, e)) Harness.Registry.all
+    in
+    Arg.(
+      value
+      & pos_all (enum ids) []
+      & info [] ~docv:"ID"
+          ~doc:
+            (Printf.sprintf
+               "Experiments to run, one of %s (default: all, in report \
+                order; given ids also run in report order)"
+               (Arg.doc_alts_enum ids)))
+  in
+  Cmd.v
+    (Cmd.info "experiments"
+       ~doc:
+         "Run the paper's experiments (E1-E8) and the extensions (E9-E19) \
+          and print the paper-vs-measured report.  With no $(i,ID) the \
+          report is EXPERIMENTS.md, byte-identical at any $(b,--jobs) and \
+          on either engine; headline lines and timing go to stderr.")
+    Term.(const action $ engine_arg $ jobs_arg $ json_arg $ output_arg $ ids_arg)
+
 let () =
   (* force the engine library to link so --engine=bytecode resolves *)
   Engine.Backend.install ();
@@ -1401,10 +1499,13 @@ let () =
   in
   (* ~catch:false: an escaped exception becomes a one-line diagnostic
      and exit 1, not a backtrace dump; cmdliner's own CLI errors
-     (unknown flag, bad conversion) are remapped to exit 2. *)
+     (unknown flag, bad conversion) are remapped to exit 2, their
+     diagnostic unwrapped onto one line ahead of the usage hint. *)
+  let err = Format.formatter_of_out_channel stderr in
+  Format.pp_set_margin err max_int;
   let code =
     try
-      Cmd.eval ~catch:false
+      Cmd.eval ~catch:false ~err
         (Cmd.group info
            [
              run_cmd;
@@ -1417,6 +1518,7 @@ let () =
              serve_cmd;
              campaign_cmd;
              attack_cmd;
+             experiments_cmd;
            ])
     with e ->
       Printf.eprintf "smokestackc: error: %s\n" (one_line (Printexc.to_string e));

@@ -404,6 +404,57 @@ let test_campaign_rejects_broken_store () =
     "diagnostic says it is not a store" true
     (contains output "manifest")
 
+(* --- experiments --------------------------------------------------- *)
+
+(* Every bad argument or output path is rejected before the first
+   experiment runs: exit 2 within a second, diagnostic first. *)
+let test_experiments_usage_errors () =
+  let check what args needle =
+    let t0 = Unix.gettimeofday () in
+    let code, output = run_cli ("experiments" :: args) in
+    let secs = Unix.gettimeofday () -. t0 in
+    check_code what 2 (code, output);
+    let first = List.hd (String.split_on_char '\n' output) in
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: diagnostic line names %S: %s" what needle first)
+      true
+      (String.starts_with ~prefix:"smokestackc:" first && contains first needle);
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: rejected in %.2f s" what secs)
+      true (secs < 1.0)
+  in
+  check "unknown id" [ "table1"; "nosuch" ] "nosuch";
+  check "--jobs 0" [ "--jobs"; "0"; "table1" ] "--jobs";
+  check "--engine bogus" [ "--engine"; "bogus"; "table1" ] "bogus";
+  check "unwritable -o" [ "-o"; "/nonexistent/dir/out.md"; "table1" ]
+    "/nonexistent/dir/out.md";
+  check "unwritable --json" [ "--json"; "/nonexistent/dir/x"; "table1" ]
+    "/nonexistent/dir/x"
+
+let experiments_across_jobs ids () =
+  let run jobs = run_cli_stdout ("experiments" :: "--jobs" :: jobs :: ids) in
+  let j1 = run "1" and j4 = run "4" in
+  check_code "experiments --jobs 1" 0 j1;
+  check_code "experiments --jobs 4" 0 j4;
+  Alcotest.(check string) "report byte-identical across --jobs" (snd j1) (snd j4)
+
+(* --json DIR is created on demand; every table of the entry lands in
+   it (the full-registry test in test_harness parses all of them) *)
+let test_experiments_json () =
+  with_store_dir @@ fun dir ->
+  let code, output = run_cli [ "experiments"; "--json"; dir; "table1" ] in
+  check_code "experiments --json" 0 (code, output);
+  let path = Filename.concat dir "BENCH_table1.json" in
+  let ic = open_in_bin path in
+  let text =
+    Fun.protect
+      ~finally:(fun () -> close_in ic)
+      (fun () -> really_input_string ic (in_channel_length ic))
+  in
+  match Sutil.Json.of_string text with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "%s does not parse: %s" path e
+
 let () =
   Alcotest.run "cli"
     [
@@ -451,5 +502,15 @@ let () =
           Alcotest.test_case "usage errors" `Quick test_campaign_usage_errors;
           Alcotest.test_case "broken store diagnostics" `Quick
             test_campaign_rejects_broken_store;
+        ] );
+      ( "experiments",
+        [
+          Alcotest.test_case "usage errors fail fast" `Quick
+            test_experiments_usage_errors;
+          Alcotest.test_case "table1 rngsec rerand identical across jobs" `Slow
+            (experiments_across_jobs [ "table1"; "rngsec"; "rerand" ]);
+          Alcotest.test_case "leaks identical across jobs" `Slow
+            (experiments_across_jobs [ "leaks" ]);
+          Alcotest.test_case "json tables written" `Quick test_experiments_json;
         ] );
     ]

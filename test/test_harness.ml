@@ -175,7 +175,117 @@ let test_str_replace () =
   Alcotest.(check string) "absent" "abc"
     (Harness.Str_replace.replace ~needle:"z" ~by:"X" "abc")
 
+(* ------------------------------------------------------------------ *)
+(* Headline invariants CI once grepped out of the bench output *)
+
+let test_leaks_headline () =
+  let t = Sched.Pool.with_pool ~jobs:2 (fun pool -> Harness.Leakcheck.run ~pool ()) in
+  Alcotest.(check int) "static/dynamic disagreements" 0 t.disagreements;
+  match t.guided with
+  | None -> Alcotest.fail "no guided chain on stack-leaky"
+  | Some g -> Alcotest.(check bool) "guided within factor-3 bound" true g.within_bound
+
+let test_resilience_headline () =
+  let t = Sched.Pool.with_pool ~jobs:2 (fun pool -> Harness.Resilience.run ~pool ()) in
+  Alcotest.(check bool) "hand-written cost strictly higher" true t.hand_higher;
+  Alcotest.(check bool) "synthesized cost strictly higher" true t.synth_higher;
+  Alcotest.(check int) "batch-verdict mismatches" 0 t.mismatches
+
+(* ------------------------------------------------------------------ *)
+(* Experiment registry *)
+
+let registry_ids = List.map (fun (e : Harness.Registry.entry) -> e.id) Harness.Registry.all
+
+let unique xs = List.length (List.sort_uniq compare xs) = List.length xs
+
+let test_registry_shape () =
+  Alcotest.(check bool) "ids unique" true (unique registry_ids);
+  Alcotest.(check int) "E1..E19" 19 (List.length Harness.Registry.all);
+  List.iteri
+    (fun i (e : Harness.Registry.entry) ->
+      let prefix = Printf.sprintf "E%d — " (i + 1) in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s heading %S starts with %S" e.id e.heading prefix)
+        true
+        (String.starts_with ~prefix e.heading))
+    Harness.Registry.all
+
+let run_ids pool ids =
+  List.filter_map
+    (fun (e : Harness.Registry.entry) ->
+      if List.mem e.id ids then Some (e, e.run ~pool) else None)
+    Harness.Registry.all
+
+let section_of runs id =
+  let e, r = List.find (fun ((e : Harness.Registry.entry), _) -> e.id = id) runs in
+  Harness.Registry.section e r
+
+(* a subset run renders each section exactly as a run of it alone *)
+let test_registry_subset () =
+  Sched.Pool.with_pool ~jobs:2 @@ fun pool ->
+  let subset = run_ids pool [ "table1"; "rngsec"; "rerand" ] in
+  let alone = run_ids pool [ "rerand" ] in
+  Alcotest.(check (list string)) "subset runs in report order"
+    [ "table1"; "rngsec"; "rerand" ]
+    (List.map (fun ((e : Harness.Registry.entry), _) -> e.id) subset);
+  Alcotest.(check string) "rerand section" (section_of alone "rerand")
+    (section_of subset "rerand")
+
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+let rec rm_rf path =
+  if Sys.is_directory path then begin
+    Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
+    Sys.rmdir path
+  end
+  else Sys.remove path
+
+(* The whole registry on the bytecode engine, as the report generator
+   runs it: every JSON table name is distinct, every table is written
+   as parsable JSON, and the report is the committed EXPERIMENTS.md
+   byte for byte. *)
+let test_registry_full_report () =
+  Machine.Backend.set_default Machine.Backend.Bytecode;
+  let runs =
+    Fun.protect
+      ~finally:(fun () -> Machine.Backend.set_default Machine.Backend.Reference)
+      (fun () -> Sched.Pool.with_pool ~jobs:2 (fun pool -> run_ids pool registry_ids))
+  in
+  let names =
+    List.concat_map
+      (fun (_, (r : Harness.Registry.result)) -> List.map (fun (n, _, _) -> n) r.tables)
+      runs
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d JSON table names unique" (List.length names))
+    true (unique names);
+  let dir = Filename.temp_file "registry_json" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () ->
+      List.iter (fun (_, r) -> Harness.Registry.write_json ~dir r) runs;
+      List.iter
+        (fun name ->
+          let text = read_file (Filename.concat dir ("BENCH_" ^ name ^ ".json")) in
+          Alcotest.(check bool) (name ^ " non-empty") true (String.length text > 0);
+          match Sutil.Json.of_string text with
+          | Ok _ -> ()
+          | Error e -> Alcotest.failf "BENCH_%s.json does not parse: %s" name e)
+        names);
+  Alcotest.(check string) "EXPERIMENTS.md regenerated byte for byte"
+    (read_file
+       (Filename.concat (Filename.dirname Sys.executable_name) "../EXPERIMENTS.md"))
+    (Harness.Registry.report runs)
+
 let () =
+  (* as smokestackc does: link the bytecode engine, and make the static
+     validator harden's post-condition and the selective-elision oracle *)
+  Engine.Backend.install ();
+  Analysis.Validate.install ();
   Alcotest.run "harness"
     [
       ("table1", [ Alcotest.test_case "matches paper" `Quick test_randrate_matches_table1 ]);
@@ -200,5 +310,19 @@ let () =
         [
           Alcotest.test_case "markdown" `Quick test_markdown_renderers;
           Alcotest.test_case "str_replace" `Quick test_str_replace;
+        ] );
+      ( "headlines",
+        [
+          Alcotest.test_case "leaks: no disagreement, guided in bound" `Slow
+            test_leaks_headline;
+          Alcotest.test_case "resilience: costs higher, no mismatch" `Slow
+            test_resilience_headline;
+        ] );
+      ( "registry",
+        [
+          Alcotest.test_case "ids and headings" `Quick test_registry_shape;
+          Alcotest.test_case "subset sections identical" `Slow test_registry_subset;
+          Alcotest.test_case "full report and json names" `Slow
+            test_registry_full_report;
         ] );
     ]
