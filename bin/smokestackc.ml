@@ -111,10 +111,21 @@ let engine_arg =
            interpreter) or $(b,bytecode) (compiled dispatch loop; \
            identical observable behaviour, several times faster)")
 
+let positive_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | _ ->
+        Error
+          (`Msg
+            (Printf.sprintf "invalid value '%s', expected an integer >= 1" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let jobs_arg =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some positive_int) None
     & info [ "jobs" ] ~docv:"N"
         ~doc:
           "Worker domains for multi-seed runs (default: the host's \
@@ -174,9 +185,6 @@ let run_cmd =
   let action file harden scheme seed input no_fid optimize trace engine jobs
       seeds chaos fail_open timeout =
     if seeds < 1 then usage_fail "run: --seeds must be >= 1";
-    (match jobs with
-    | Some j when j < 1 -> usage_fail "run: --jobs must be >= 1"
-    | _ -> ());
     (match timeout with
     | Some t when t <= 0. -> usage_fail "run: --timeout must be positive"
     | _ -> ());
@@ -792,9 +800,6 @@ let serve_cmd =
     if mean_gap < 1 then usage_fail "serve: --mean-gap must be >= 1";
     if workers < 1 then usage_fail "serve: --workers must be >= 1";
     if capacity < 1 then usage_fail "serve: --capacity must be >= 1";
-    (match jobs with
-    | Some j when j < 1 -> usage_fail "serve: --jobs must be >= 1"
-    | _ -> ());
     (match timeout with
     | Some t when t <= 0. -> usage_fail "serve: --timeout must be positive"
     | _ -> ());
@@ -1023,9 +1028,6 @@ let campaign_cmd =
       engine fuel jobs json_path =
     if progen < 1 then usage_fail "campaign: --progen must be >= 1";
     if fuel < 1 then usage_fail "campaign: --fuel must be >= 1";
-    (match jobs with
-    | Some j when j < 1 -> usage_fail "campaign: --jobs must be >= 1"
-    | _ -> ());
     if String.equal store_dir "" then
       usage_fail "campaign: --store must name a directory";
     if
@@ -1173,9 +1175,6 @@ let attack_cmd =
     if chains < 1 then usage_fail "attack: --chains must be >= 1";
     if trials < 1 then usage_fail "attack: --trials must be >= 1";
     if budget < 1 then usage_fail "attack: --budget must be >= 1";
-    (match jobs with
-    | Some j when j < 1 -> usage_fail "attack: --jobs must be >= 1"
-    | _ -> ());
     (* chain synthesis probes on the reference engine regardless; the
        process default decides what executes the attacks (and is part
        of every store key) *)
@@ -1392,9 +1391,6 @@ let attack_cmd =
 
 let experiments_cmd =
   let action engine jobs json_dir output entries =
-    (match jobs with
-    | Some j when j < 1 -> usage_fail "experiments: --jobs must be >= 1"
-    | _ -> ());
     Machine.Backend.set_default engine;
     (* every output is opened before the first experiment runs: a bad
        path fails in milliseconds, not after the whole report *)

@@ -42,7 +42,9 @@ let () =
   List.iter
     (fun d ->
       let applied = Defenses.Defense.apply ~seed:3L d prog in
-      let sr, n = rate Apps.Librelp.attack_static applied in
+      let sr, n =
+        rate (Apps.Dopkit.verdict_of Apps.Librelp.attack_static) applied
+      in
       let dr, _ = rate Apps.Librelp.attack_disclosure applied in
       let describe k =
         if k = n then show Attacks.Verdict.Success
@@ -61,7 +63,7 @@ let () =
       Defenses.Defense.apply ~seed:(Int64.of_int (50 + b))
         Defenses.Defense.Static_perm prog
     in
-    match Apps.Librelp.attack_static applied ~seed:7L with
+    match (Apps.Librelp.attack_static applied ~seed:7L).verdict with
     | Attacks.Verdict.Success -> incr exploitable
     | _ -> ()
   done;
@@ -76,7 +78,8 @@ let () =
   in
   let result =
     Attacks.Bruteforce.run ~max_attempts:300 (fun i ->
-        Apps.Librelp.attack_static applied ~seed:(Int64.of_int (4000 + i)))
+        Apps.Dopkit.verdict_of Apps.Librelp.attack_static applied
+          ~seed:(Int64.of_int (4000 + i)))
   in
   pf "  %s after %d attempt(s): %s"
     (if result.succeeded then "first success" else "no success")

@@ -1,5 +1,14 @@
 type rel_layout = (string * int) list
 
+type result = {
+  verdict : Attacks.Verdict.t;
+  stats : Machine.Exec.stats option;
+  requests : int;
+}
+
+type exploit =
+  ?backend:Machine.Backend.t -> Defenses.Defense.applied -> seed:int64 -> result
+
 let binary_offsets prog ~func ~buffer ~vars =
   match Ir.Prog.find_func prog func with
   | None -> None
@@ -79,3 +88,22 @@ let goal_in_output marker (stats : Machine.Exec.stats) =
     if (not !found) && String.sub hay i nn = needle then found := true
   done;
   !found
+
+(* A layout guess can be geometrically impossible (victim below the
+   buffer, overlapping writes, a payload byte that would be NUL): the
+   craft raises [Invalid_argument] and the attempt is wasted unrun. *)
+let attempt ?backend applied ~seed ~goal craft =
+  match craft () with
+  | chunks ->
+      let outcome, stats = Runner.run_chunks ?backend applied ~seed ~chunks in
+      let goal_met = goal_in_output goal stats in
+      {
+        verdict = Attacks.Verdict.classify outcome ~goal_met;
+        stats = Some stats;
+        requests = List.length chunks;
+      }
+  | exception Invalid_argument _ ->
+      { verdict = Attacks.Verdict.No_effect; stats = None; requests = 0 }
+
+let verdict_of (exploit : exploit) applied ~seed =
+  (exploit applied ~seed).verdict

@@ -12,10 +12,29 @@
       Smokestack frame this is right with probability ~1/n!.
 
     Both return offsets {e relative to a chosen buffer variable}, which
-    is all a DOP overflow needs. *)
+    is all a DOP overflow needs.
+
+    Every hand-written exploit has one entry point, an {!exploit}: it
+    crafts its request chunks from the layout it learned, runs them
+    through {!attempt}, and reports the verdict with the run's stats.
+    The batch harnesses read the verdict ({!verdict_of}); the server
+    runtime also reads [stats] and [requests]. *)
 
 type rel_layout = (string * int) list
 (** Variable name → signed byte offset from the buffer start. *)
+
+type result = {
+  verdict : Attacks.Verdict.t;
+  stats : Machine.Exec.stats option;
+      (** [None] when the craft was impossible and nothing ran. *)
+  requests : int;  (** request chunks delivered to the instance *)
+}
+
+type exploit =
+  ?backend:Machine.Backend.t -> Defenses.Defense.applied -> seed:int64 -> result
+(** One attempt of a hand-written exploit against a defense-applied
+    program: fresh process, per-run entropy and layout guess from
+    [seed], engine [?backend] (default {!Machine.Backend.default}). *)
 
 val binary_offsets :
   Ir.Prog.t -> func:string -> buffer:string -> vars:string list -> rel_layout option
@@ -57,3 +76,21 @@ val guessed_slab_offsets :
 
 val goal_in_output : string -> Machine.Exec.stats -> bool
 (** Does the program's output contain the marker? *)
+
+val attempt :
+  ?backend:Machine.Backend.t ->
+  Defenses.Defense.applied ->
+  seed:int64 ->
+  goal:string ->
+  (unit -> string list) ->
+  result
+(** One exploit attempt: force the craft, deliver its chunks with
+    {!Runner.run_chunks} (fresh state and entropy from [seed]) and
+    classify the outcome, the goal being met when [goal] appears in the
+    output.  A craft that raises [Invalid_argument] (the layout guess
+    is geometrically impossible) runs nothing and yields
+    [{ verdict = No_effect; stats = None; requests = 0 }]. *)
+
+val verdict_of :
+  exploit -> Defenses.Defense.applied -> seed:int64 -> Attacks.Verdict.t
+(** The attempt's verdict alone, for harnesses that count verdicts. *)

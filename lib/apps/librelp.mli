@@ -38,21 +38,10 @@ val benign_chunks : string list
 (** A legitimate certificate: SANs ending with the matching peer name.
     Used to validate functional behaviour under every defense. *)
 
-val attack_static :
-  Defenses.Defense.applied -> seed:int64 -> Attacks.Verdict.t
+val attack_static : Dopkit.exploit
 (** One attempt, offsets from binary analysis (falling back to an
-    Algorithm-1 guess against Smokestack). *)
-
-val attack_static_session :
-  ?backend:Machine.Backend.t ->
-  ?arm:(Machine.Exec.state -> unit) ->
-  Defenses.Defense.applied ->
-  seed:int64 ->
-  Attacks.Verdict.t * Machine.Exec.stats option * int
-(** Server-runtime form of {!attack_static}: identical craft and
-    verdict, plus engine selection, fault arming, the run's stats and
-    the number of certificate chunks delivered ([(_, None, 0)] when the
-    craft was impossible). *)
+    Algorithm-1 guess against Smokestack).  [requests] counts the
+    certificate SANs delivered. *)
 
 val attack_disclosure :
   Defenses.Defense.applied -> seed:int64 -> Attacks.Verdict.t

@@ -11,16 +11,14 @@
     interpreter unless an experiment driver switched it.
 
     [?arm] sees the prepared state after the defense runtime is
-    installed and before execution — the hook the server runtime and
-    the chaos machinery use to arm {!Fault.Inject} plans on per-session
-    states. *)
+    installed and before execution — the hook the server runtime uses
+    to arm {!Fault.Inject} plans on benign chaos sessions, and the
+    attack compiler uses to read final memory after the run. *)
 
 val run_chunks :
   ?backend:Machine.Backend.t ->
   ?arm:(Machine.Exec.state -> unit) ->
   ?fuel:int ->
-  ?heap_size:int ->
-  ?stack_size:int ->
   Defenses.Defense.applied ->
   seed:int64 ->
   chunks:string list ->
@@ -30,12 +28,14 @@ val run_chunks :
     empty.  This models one network message per read, which is how the
     exploit payloads are framed. *)
 
+val chunk_reader : string list -> Machine.Exec.state -> int -> string
+(** The input callback {!run_chunks} installs, for callers that prepare
+    their own state: [Machine.Exec.set_input st (chunk_reader chunks)]. *)
+
 val run_adaptive :
   ?backend:Machine.Backend.t ->
   ?arm:(Machine.Exec.state -> unit) ->
   ?fuel:int ->
-  ?heap_size:int ->
-  ?stack_size:int ->
   Defenses.Defense.applied ->
   seed:int64 ->
   input:(Machine.Exec.state -> int -> string) ->

@@ -1,25 +1,13 @@
-type result = {
-  verdict : Attacks.Verdict.t;
-  stats : Machine.Exec.stats option;
-  requests : int;
-}
-
-type session_fn =
-  ?backend:Machine.Backend.t ->
-  ?arm:(Machine.Exec.state -> unit) ->
-  Defenses.Defense.applied ->
-  seed:int64 ->
-  Attacks.Verdict.t * Machine.Exec.stats option * int
-
 type attack = {
   aname : string;
-  session : session_fn;
-  batch : Defenses.Defense.applied -> seed:int64 -> Attacks.Verdict.t;
+  attack : Dopkit.exploit;
+  witnesses : (string * string * string * string) list;
 }
 
 type app = {
   sname : string;
   sdescription : string;
+  ssource : string;
   sprogram : Ir.Prog.t Lazy.t;
   benign : Sutil.Simrng.t -> string list;
   sattacks : attack list;
@@ -28,7 +16,7 @@ type app = {
 let run_benign ?backend ?arm applied ~seed ~chunks =
   let outcome, stats = Runner.run_chunks ?backend ?arm applied ~seed ~chunks in
   {
-    verdict = Attacks.Verdict.classify outcome ~goal_met:false;
+    Dopkit.verdict = Attacks.Verdict.classify outcome ~goal_met:false;
     stats = Some stats;
     requests = List.length chunks;
   }
@@ -71,61 +59,109 @@ let synth_flow rng =
       Printf.sprintf "req-%04x" (Sutil.Simrng.int rng ~bound:65536))
 
 (* ------------------------------------------------------------------ *)
-(* The registry.  Attack names match the batch cross-validation harness
-   (Harness.Crossval) so served verdicts can be compared case-for-case
-   against batch verdicts. *)
+(* The registry of the eleven hand-written exploits.
+
+   Witness sets: which (buffer function, buffer slot, victim function,
+   victim slot) tuples each attack corrupts, buffer slot "*" for the
+   wild-write channel.  They are read off the exploit implementations
+   by hand — e.g. the librelp key leak overflows allNames in
+   relpTcpChkPeerName and redirects keyPtr in the caller
+   relpTcpLstnInit — and never derived from lib/analysis, so
+   Harness.Crossval stays an independent cross-validation rather than
+   "the analyzer agrees with itself". *)
+
+let proftpd_witnesses =
+  [
+    ("sreplace", "buf", "cmd_loop", "op");
+    ("sreplace", "buf", "cmd_loop", "delta");
+  ]
+
+let wireshark_witnesses =
+  let f = "packet_list_dissect_and_cache_record" in
+  [ (f, "pd", f, "col"); (f, "pd", f, "cinfo"); (f, "pd", f, "packet_list") ]
+
+let synth_witnesses (v : Synth.variant) =
+  match (v.location, v.technique) with
+  | `Stack, `Direct ->
+      (* direct overflow from buff over the dispatcher operands *)
+      [
+        ("serve", "buff", "serve", "ctr");
+        ("serve", "buff", "serve", "size");
+        ("serve", "buff", "serve", "step");
+      ]
+  | `Stack, `Indirect ->
+      (* buff corrupts a data pointer; the wild write lands on the
+         bookkeeping slots *)
+      [
+        ("serve", "buff", "serve", "seen");
+        ("serve", "buff", "serve", "stamp");
+        ("serve", "*", "serve", "seen");
+        ("serve", "*", "serve", "stamp");
+        ("serve", "*", "serve", "ticks");
+      ]
+  | `Data, `Direct | `Heap, `Direct -> [ ("serve", "slots", "serve", "auth") ]
+  | `Data, `Indirect | `Heap, `Indirect -> [ ("serve", "*", "serve", "auth") ]
 
 let apps =
   [
     {
       sname = "proftpd";
       sdescription = "FTP session: login, a few transfers, quit";
+      ssource = Proftpd.source;
       sprogram = Proftpd.program;
       benign = proftpd_flow;
       sattacks =
         [
           {
             aname = "proftpd/key-extraction";
-            session = Proftpd.attack_key_extraction_session;
-            batch = Proftpd.attack_key_extraction;
+            attack = Proftpd.attack_key_extraction;
+            witnesses = proftpd_witnesses;
           };
           {
             aname = "proftpd/bot";
-            session = Proftpd.attack_bot_session;
-            batch = Proftpd.attack_bot;
+            attack = Proftpd.attack_bot;
+            witnesses = proftpd_witnesses;
           };
           {
             aname = "proftpd/mem-permissions";
-            session = Proftpd.attack_memperm_session;
-            batch = Proftpd.attack_memperm;
+            attack = Proftpd.attack_memperm;
+            witnesses = proftpd_witnesses;
           };
         ];
     };
     {
       sname = "wireshark";
       sdescription = "capture session: one dissected frame";
+      ssource = Wireshark.source;
       sprogram = Wireshark.program;
       benign = wireshark_flow;
       sattacks =
         [
           {
             aname = "wireshark/CVE-2014-2299";
-            session = Wireshark.attack_session;
-            batch = Wireshark.attack;
+            attack = Wireshark.attack;
+            witnesses = wireshark_witnesses;
           };
         ];
     };
     {
       sname = "librelp";
       sdescription = "TLS peer check over a client certificate's SANs";
+      ssource = Librelp.source;
       sprogram = Librelp.program;
       benign = librelp_flow;
       sattacks =
         [
           {
             aname = "librelp/key-leak";
-            session = Librelp.attack_static_session;
-            batch = Librelp.attack_static;
+            attack = Librelp.attack_static;
+            witnesses =
+              [
+                ( "relpTcpChkPeerName",
+                  "allNames",
+                  "relpTcpLstnInit",
+                  "keyPtr" );
+              ];
           };
         ];
     };
@@ -135,11 +171,16 @@ let apps =
         {
           sname = "synth-" ^ v.vname;
           sdescription = "synthetic request server (" ^ v.vname ^ ")";
+          ssource = v.source;
           sprogram = v.program;
           benign = synth_flow;
           sattacks =
             [
-              { aname = v.vname; session = v.attack_session; batch = v.attack };
+              {
+                aname = v.vname;
+                attack = v.attack;
+                witnesses = synth_witnesses v;
+              };
             ];
         })
       Synth.variants

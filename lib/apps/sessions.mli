@@ -1,45 +1,37 @@
-(** Session-oriented view of the attackable applications, for the
-    multi-tenant server runtime (lib/server).
+(** The registry of the eleven hand-written DOP exploits and the apps
+    they attack: three against ProFTPD CVE-2006-5815, one each against
+    Wireshark CVE-2014-2299 and the librelp PoC, and the six RIPE-style
+    {!Synth} variants.
 
-    The batch harnesses drive each application as a one-shot experiment
-    (craft, run, classify).  The server runtime instead multiplexes
-    many {e sessions} — benign request flows with attack sessions
-    interleaved — over prepared per-tenant instances.  This module is
-    the registry that makes that possible without duplicating any app
-    logic: every entry reuses the application's own program, benign
-    request vocabulary, and the {e same} attack crafts as the batch
-    harness (via the [*_session] entry points), so a served attack's
-    verdict is comparable case-for-case with the batch verdict for the
-    same [applied] and [seed]. *)
-
-type result = {
-  verdict : Attacks.Verdict.t;
-  stats : Machine.Exec.stats option;
-      (** [None] when the craft was impossible and nothing ran. *)
-  requests : int;  (** request chunks delivered to the instance *)
-}
-
-type session_fn =
-  ?backend:Machine.Backend.t ->
-  ?arm:(Machine.Exec.state -> unit) ->
-  Defenses.Defense.applied ->
-  seed:int64 ->
-  Attacks.Verdict.t * Machine.Exec.stats option * int
+    It is the one table of these cases.  The batch harnesses
+    ({!Harness.Security}, {!Harness.Crossval}) look their cases up here
+    by name, and the multi-tenant server runtime (lib/server)
+    multiplexes {e sessions} over the same apps — benign request flows
+    with attack sessions interleaved — over prepared per-tenant
+    instances.  An attack session calls the exploit's one entry point,
+    so a served attack's verdict is comparable case-for-case with the
+    verdict of the same exploit re-run for the same [applied] and
+    [seed]. *)
 
 type attack = {
   aname : string;
-      (** Batch-harness case name, e.g. ["proftpd/key-extraction"] —
-          matches {!Harness.Crossval} rows. *)
-  session : session_fn;
-  batch : Defenses.Defense.applied -> seed:int64 -> Attacks.Verdict.t;
-      (** The batch entry point the session craft is a superset of;
-          used by the server harness to check served verdicts against
-          batch verdicts. *)
+      (** Case name, e.g. ["proftpd/key-extraction"] — the row name in
+          {!Harness.Security} and {!Harness.Crossval}. *)
+  attack : Dopkit.exploit;
+      (** The exploit's one entry point: one attempt, engine-selectable
+          (default {!Machine.Backend.default}). *)
+  witnesses : (string * string * string * string) list;
+      (** The (buffer function, buffer slot, victim function, victim
+          slot) tuples the exploit corrupts, buffer slot ["*"] for the
+          wild-write channel.  Written by hand from the exploit, never
+          derived from [Analysis], so {!Harness.Crossval} checks the
+          analyzer against independent evidence. *)
 }
 
 type app = {
   sname : string;  (** e.g. ["proftpd"], ["synth-stack-direct"] *)
   sdescription : string;
+  ssource : string;  (** MiniC source of [sprogram] *)
   sprogram : Ir.Prog.t Lazy.t;
   benign : Sutil.Simrng.t -> string list;
       (** Draw one legitimate request flow (the chunks a benign client
@@ -54,14 +46,16 @@ val run_benign :
   Defenses.Defense.applied ->
   seed:int64 ->
   chunks:string list ->
-  result
+  Dopkit.result
 (** Run a benign flow against a prepared instance and classify the
-    outcome ([goal_met] is necessarily false for a benign client). *)
+    outcome ([goal_met] is necessarily false for a benign client).
+    [?arm] is how the server runtime arms a fault plan on a chaos
+    session's state. *)
 
 val apps : app list
 (** All nine session apps: proftpd, wireshark, librelp, and the six
-    synthetic variants — carrying the batch harness's eleven attack
-    cases between them. *)
+    synthetic variants — carrying the eleven attack cases between
+    them. *)
 
 val find : string -> app option
 

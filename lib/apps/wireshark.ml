@@ -46,7 +46,6 @@ int main() { gtk_tree_view_column_cell_set_cell_data(); return 0; }
 
 let program = lazy (Minic.Driver.compile source)
 let benign_chunks = [ "\x01\x02\x03\x04tiny-mpeg-frame" ]
-let auth_magic = 4919L
 
 let callee = "packet_list_dissect_and_cache_record"
 let caller = "gtk_tree_view_column_cell_set_cell_data"
@@ -57,7 +56,7 @@ let callee_slots =
 
 let caller_slots = [ ("fdata", 2048, 1); ("cell_list", 8, 8); ("flen", 8, 8) ]
 
-let attack_session ?backend ?arm (applied : Defenses.Defense.applied) ~seed =
+let attack ?backend (applied : Defenses.Defense.applied) ~seed =
   let chain = [ "main"; caller; callee ] in
   let rows = Attacks.Layout.chain applied.prog chain in
   let rel_of =
@@ -96,40 +95,25 @@ let attack_session ?backend ?arm (applied : Defenses.Defense.applied) ~seed =
           if String.equal f callee then List.assoc v callee_guess - pd_off
           else slab caller (List.assoc v caller_guess) - pd_off
   in
-  match
-    let gaddrs = Attacks.Layout.global_addrs applied.prog in
-    let addr name = Int64.of_int (List.assoc name gaddrs) in
-    (* a two-gadget chain of "[col] <- [cinfo] + packet_list" stores,
-       stitched by corrupting the caller's cell_list dispatcher:
-       frame 1: w_scratch = [w_zero_cell] + 0x1000, keep looping;
-       frame 2: w_auth    = [w_scratch]   + 0x337,  stop. *)
-    let frame ~col ~cinfo ~addend ~remaining =
-      Attacks.Overflow.craft ~len:256
-        [
-          Attacks.Overflow.u64 (rel_of (callee, "col")) col;
-          Attacks.Overflow.u64 (rel_of (callee, "cinfo")) cinfo;
-          Attacks.Overflow.u64 (rel_of (callee, "packet_list")) addend;
-          Attacks.Overflow.u64 (rel_of (caller, "cell_list")) remaining;
-        ]
-    in
-    ignore auth_magic;
-    [
-      frame ~col:(addr "w_scratch") ~cinfo:(addr "w_zero_cell") ~addend:0x1000L
-        ~remaining:2L;
-      frame ~col:(addr "w_auth") ~cinfo:(addr "w_scratch") ~addend:0x337L
-        ~remaining:1L;
-    ]
-  with
-  | chunks ->
-      let outcome, stats =
-        Runner.run_chunks ?backend ?arm applied ~seed ~chunks
+  Dopkit.attempt ?backend applied ~seed ~goal:granted (fun () ->
+      let gaddrs = Attacks.Layout.global_addrs applied.prog in
+      let addr name = Int64.of_int (List.assoc name gaddrs) in
+      (* a two-gadget chain of "[col] <- [cinfo] + packet_list" stores,
+         stitched by corrupting the caller's cell_list dispatcher:
+         frame 1: w_scratch = [w_zero_cell] + 0x1000, keep looping;
+         frame 2: w_auth    = [w_scratch]   + 0x337,  stop. *)
+      let frame ~col ~cinfo ~addend ~remaining =
+        Attacks.Overflow.craft ~len:256
+          [
+            Attacks.Overflow.u64 (rel_of (callee, "col")) col;
+            Attacks.Overflow.u64 (rel_of (callee, "cinfo")) cinfo;
+            Attacks.Overflow.u64 (rel_of (callee, "packet_list")) addend;
+            Attacks.Overflow.u64 (rel_of (caller, "cell_list")) remaining;
+          ]
       in
-      ( Attacks.Verdict.classify outcome
-          ~goal_met:(Dopkit.goal_in_output granted stats),
-        Some stats,
-        List.length chunks )
-  | exception Invalid_argument _ -> (Attacks.Verdict.No_effect, None, 0)
-
-let attack applied ~seed =
-  let verdict, _, _ = attack_session applied ~seed in
-  verdict
+      [
+        frame ~col:(addr "w_scratch") ~cinfo:(addr "w_zero_cell")
+          ~addend:0x1000L ~remaining:2L;
+        frame ~col:(addr "w_auth") ~cinfo:(addr "w_scratch") ~addend:0x337L
+          ~remaining:1L;
+      ])

@@ -84,13 +84,8 @@ let observe ?plan ~policy ~scheme ~backend ~seed (w : Apps.Spec.workload) =
   let gen = Rng.Generator.create ~policy scheme ~entropy in
   let st = Smokestack.Harden.prepare ~entropy ~gen h in
   let armed = Option.map (fun p -> Fault.Inject.arm ~gen p st) plan in
-  let chunks = ref (Workbench.chunks_of_input w.input) in
-  Machine.Exec.set_input st (fun _ max ->
-      match !chunks with
-      | [] -> ""
-      | c :: rest ->
-          chunks := rest;
-          if String.length c > max then String.sub c 0 max else c);
+  Machine.Exec.set_input st
+    (Apps.Runner.chunk_reader (Workbench.chunks_of_input w.input));
   let outcome, stats = backend.Machine.Backend.run ~fuel:400_000_000 st in
   {
     o_outcome = outcome;

@@ -59,7 +59,8 @@ let run () =
   let hits = ref 0 in
   for i = 0 to trials - 1 do
     match
-      Apps.Librelp.attack_static applied ~seed:(Int64.of_int (40_000 + i))
+      (Apps.Librelp.attack_static applied ~seed:(Int64.of_int (40_000 + i)))
+        .verdict
     with
     | Attacks.Verdict.Success -> incr hits
     | _ -> ()

@@ -9,85 +9,10 @@ type row = {
 
 type t = { rows : row list; all_validated : bool }
 
-(* Witness sets: which (buffer, victim) tuples each attack corrupts.
-   These are read off the exploit implementations in lib/apps — e.g.
-   the librelp key leak overflows allNames in relpTcpChkPeerName and
-   redirects keyPtr in the caller relpTcpLstnInit — so the check stays
-   an independent cross-validation rather than "the analyzer agrees
-   with itself". *)
-let synth_cases () =
-  List.map
-    (fun (v : Apps.Synth.variant) ->
-      let witnesses =
-        match (v.location, v.technique) with
-        | `Stack, `Direct ->
-            (* direct overflow from buff over the dispatcher operands *)
-            [
-              ("serve", "buff", "serve", "ctr");
-              ("serve", "buff", "serve", "size");
-              ("serve", "buff", "serve", "step");
-            ]
-        | `Stack, `Indirect ->
-            (* buff corrupts a data pointer; the wild write lands on the
-               bookkeeping slots *)
-            [
-              ("serve", "buff", "serve", "seen");
-              ("serve", "buff", "serve", "stamp");
-              ("serve", "*", "serve", "seen");
-              ("serve", "*", "serve", "stamp");
-              ("serve", "*", "serve", "ticks");
-            ]
-        | `Data, `Direct | `Heap, `Direct ->
-            [ ("serve", "slots", "serve", "auth") ]
-        | `Data, `Indirect | `Heap, `Indirect ->
-            [ ("serve", "*", "serve", "auth") ]
-      in
-      (v.vname, v.source, Lazy.force v.program, v.attack, witnesses))
-    Apps.Synth.variants
-
-let realvuln_cases () =
-  let librelp = Lazy.force Apps.Librelp.program in
-  let wireshark = Lazy.force Apps.Wireshark.program in
-  let proftpd = Lazy.force Apps.Proftpd.program in
-  let proftpd_witness =
-    [
-      ("sreplace", "buf", "cmd_loop", "op");
-      ("sreplace", "buf", "cmd_loop", "delta");
-    ]
-  in
-  [
-    ( "librelp/key-leak",
-      Apps.Librelp.source,
-      librelp,
-      Apps.Librelp.attack_static,
-      [ ("relpTcpChkPeerName", "allNames", "relpTcpLstnInit", "keyPtr") ] );
-    ( "wireshark/CVE-2014-2299",
-      Apps.Wireshark.source,
-      wireshark,
-      Apps.Wireshark.attack,
-      [
-        ( "packet_list_dissect_and_cache_record",
-          "pd",
-          "packet_list_dissect_and_cache_record",
-          "col" );
-        ( "packet_list_dissect_and_cache_record",
-          "pd",
-          "packet_list_dissect_and_cache_record",
-          "cinfo" );
-        ( "packet_list_dissect_and_cache_record",
-          "pd",
-          "packet_list_dissect_and_cache_record",
-          "packet_list" );
-      ] );
-    ("proftpd/key-extraction", Apps.Proftpd.source, proftpd,
-     Apps.Proftpd.attack_key_extraction, proftpd_witness);
-    ("proftpd/bot", Apps.Proftpd.source, proftpd, Apps.Proftpd.attack_bot,
-     proftpd_witness);
-    ("proftpd/mem-permissions", Apps.Proftpd.source, proftpd,
-     Apps.Proftpd.attack_memperm, proftpd_witness);
-  ]
-
-let cases () = synth_cases () @ realvuln_cases ()
+(* The six synthetic variants, then the five real-vulnerability
+   exploits; each case's witness set lives with it in Apps.Sessions. *)
+let case_names = Security.pentest_cases @ Security.realvuln_cases
+let cases () = List.map Security.case case_names
 
 let find_witness pairs witnesses =
   List.find_map
@@ -156,7 +81,8 @@ let run ?(pool = Sched.Pool.sequential) ?store ?(trials = 6) () =
      identity. *)
   let static : (Ir.Prog.t * Analysis.Dop.pair list) list ref = ref [] in
   List.iter
-    (fun (_, _, prog, _, _) ->
+    (fun ((app : Apps.Sessions.app), _) ->
+      let prog = Lazy.force app.sprogram in
       if not (List.exists (fun (p, _) -> p == prog) !static) then
         let funcans = Analysis.Funcan.analyze prog in
         static := (prog, Analysis.Dop.enumerate prog funcans) :: !static)
@@ -167,10 +93,11 @@ let run ?(pool = Sched.Pool.sequential) ?store ?(trials = 6) () =
   let rows =
     Sched.Pool.run_all pool
       (List.map
-         (fun (cname, source, prog, attack, witnesses) ->
+         (fun ((app : Apps.Sessions.app), (atk : Apps.Sessions.attack)) ->
+           let cname = atk.aname and prog = Lazy.force app.sprogram in
            Sched.Job.v ~id:("crossval/" ^ cname) ~seed:3L (fun () ->
                let verdicts =
-                 cached_verdicts ?store ~source ~config:None
+                 cached_verdicts ?store ~source:app.ssource ~config:None
                    ~extra:
                      (Printf.sprintf "crossval;case=%s;trials=%d;seed0=17"
                         cname trials)
@@ -179,13 +106,15 @@ let run ?(pool = Sched.Pool.sequential) ?store ?(trials = 6) () =
                        Defenses.Defense.apply ~seed:3L
                          Defenses.Defense.No_defense prog
                      in
-                     Security.trials attack applied ~n:trials ~seed0:17)
+                     Security.trials
+                       (Apps.Dopkit.verdict_of atk.attack)
+                       applied ~n:trials ~seed0:17)
                in
                let dynamic_success =
                  List.exists (( = ) Attacks.Verdict.Success) verdicts
                in
                let pairs = pairs_of prog in
-               let matched = find_witness pairs witnesses in
+               let matched = find_witness pairs atk.witnesses in
                {
                  cname;
                  verdicts;
@@ -236,16 +165,18 @@ let run_selective ?(pool = Sched.Pool.sequential) ?store ?(trials = 6)
   in
   let attack_jobs =
     List.map
-      (fun (cname, source, prog, attack, _) ->
+      (fun ((app : Apps.Sessions.app), (atk : Apps.Sessions.attack)) ->
+        let cname = atk.aname and prog = Lazy.force app.sprogram in
         Sched.Job.v ~id:("selective/" ^ cname) ~seed:3L (fun () ->
             let verdicts_under d =
-              cached_verdicts ?store ~source ~config:(config_of d)
+              cached_verdicts ?store ~source:app.ssource ~config:(config_of d)
                 ~extra:
                   (Printf.sprintf
                      "selective;case=%s;trials=%d;seed0=17;hseed=3" cname
                      trials)
                 (fun () ->
-                  Security.trials attack
+                  Security.trials
+                    (Apps.Dopkit.verdict_of atk.attack)
                     (Defenses.Defense.apply ~seed:3L d prog)
                     ~n:trials ~seed0:17)
             in

@@ -5,16 +5,20 @@
     build — the six synthetic {!Apps.Synth} variants plus the five
     real-vulnerability exploits of {!Security.realvuln} — must
     correspond to a DOP pair the static analyzer reports for the same
-    program.  Each attack carries its {e witness set}: the
-    (buffer function, buffer slot, victim function, victim slot)
-    tuples it actually corrupts (buffer slot ["*"] for the wild-write
-    channel).  A row validates when the attack either fails
-    dynamically or at least one witness appears among the statically
-    enumerated pairs.
+    program.  Each attack carries its hand-written {e witness set} in
+    {!Apps.Sessions}: the (buffer function, buffer slot, victim
+    function, victim slot) tuples it actually corrupts (buffer slot
+    ["*"] for the wild-write channel).  A row validates when the
+    attack either fails dynamically or at least one witness appears
+    among the statically enumerated pairs.
 
     The converse is deliberately not asserted: the analyzer is allowed
     to over-approximate (escape-based false positives are documented
     in DESIGN.md §10), but it must never miss a demonstrated attack. *)
+
+val case_names : string list
+(** {!Security.pentest_cases} then {!Security.realvuln_cases}: the
+    eleven {!Apps.Sessions} cases in row order. *)
 
 type row = {
   cname : string;  (** attack name, e.g. ["stack-direct"] *)

@@ -202,11 +202,6 @@ let reach_factor prog (chain : Dopc.Chain.t) =
                       else float_of_int n /. float_of_int !ok
                   | _ -> 1.))))
 
-let strong_goal (c : Dopc.Chain.t) =
-  match c.goal with
-  | Dopc.Chain.Flip_global _ | Dopc.Chain.Output_contains _ -> true
-  | Dopc.Chain.Output_differs -> false
-
 let guided_measurement ~budget ~walks () =
   match Apps.Synth.find "stack-leaky" with
   | None -> None
@@ -224,7 +219,8 @@ let guided_measurement ~budget ~walks () =
       let _, chains = Dopc.Plan.synthesize ~target:"stack-leaky" prog in
       match
         List.find_opt
-          (fun c -> strong_goal c && Dopc.Plan.guide_for guides c <> None)
+          (fun c ->
+            Dopc.Chain.strong_goal c && Dopc.Plan.guide_for guides c <> None)
           chains
       with
       | None -> None

@@ -62,8 +62,7 @@ type target = {
   name : string;
   source : string;
   program : Ir.Prog.t Lazy.t;
-  hand :
-    (Defenses.Defense.applied -> seed:int64 -> Attacks.Verdict.t) option;
+  hand : Apps.Dopkit.exploit option;
 }
 
 let io_workloads = [ "proftpd-io"; "wireshark-io" ]
@@ -89,11 +88,6 @@ let builtin_targets () =
 
 let available_workloads () = List.map (fun t -> t.name) (builtin_targets ())
 
-let strong_goal (c : Dopc.Chain.t) =
-  match c.goal with
-  | Dopc.Chain.Flip_global _ | Dopc.Chain.Output_contains _ -> true
-  | Dopc.Chain.Output_differs -> false
-
 let has_success = List.exists (( = ) Attacks.Verdict.Success)
 
 (* Restart-after-crash brute force of a hand-written corpus attack:
@@ -103,7 +97,7 @@ let brute_hand attack applied ~budget =
   let rec go i acc =
     if i >= budget then List.rev acc
     else
-      let v = attack applied ~seed:(Int64.of_int i) in
+      let v = Apps.Dopkit.verdict_of attack applied ~seed:(Int64.of_int i) in
       let acc = v :: acc in
       if v = Attacks.Verdict.Success then List.rev acc else go (i + 1) acc
   in
@@ -205,7 +199,7 @@ let run ?(pool = Sched.Pool.sequential) ?store ?(trials = 6)
                let erows =
                  match
                    List.find_opt
-                     (fun r -> strong_goal r.chain && landed r)
+                     (fun r -> Dopc.Chain.strong_goal r.chain && landed r)
                      crows
                  with
                  | None -> []

@@ -83,6 +83,17 @@ val available_workloads : unit -> string list
 (** The built-in targets: the six {!Apps.Synth} variants plus the
     [read_input]-driven I/O request loops of {!Apps.Spec}. *)
 
+val brute_hand :
+  Apps.Dopkit.exploit ->
+  Defenses.Defense.applied ->
+  budget:int ->
+  Attacks.Verdict.t list
+(** Restart-after-crash brute force of a hand-written exploit: attempts
+    with seeds [0, 1, ...] until the first [Success] or [budget]
+    attempts — the seed walk of {!Dopc.Exec.brute}, so hand-written and
+    synthesized columns compare like for like (here and in
+    {!Resilience}). *)
+
 val run :
   ?pool:Sched.Pool.t ->
   ?store:Store.Cache.t ->

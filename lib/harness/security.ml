@@ -24,38 +24,61 @@ let mk_cell attack_name defense verdicts =
 
 let defenses () = Defenses.Defense.all ()
 
-(* One job per (attack, defense) cell: the job builds its own applied
+(* Row order of each report: names into the Apps.Sessions registry. *)
+let pentest_cases =
+  [ "stack-direct"; "stack-indirect"; "data-direct"; "data-indirect";
+    "heap-direct"; "heap-indirect" ]
+
+let realvuln_cases =
+  [ "librelp/key-leak"; "wireshark/CVE-2014-2299"; "proftpd/key-extraction";
+    "proftpd/bot"; "proftpd/mem-permissions" ]
+
+let case name =
+  match Apps.Sessions.find_attack name with
+  | Some c -> c
+  | None -> invalid_arg ("Harness.Security: no attack case " ^ name)
+
+(* One job per (case, defense) cell: the job builds its own applied
    program (a fresh Ir.Prog copy) and runs its trials, so nothing is
    shared between jobs but the read-only source program, pre-forced in
    the submitting domain. *)
+let case_cells ~pool ~exp ~trials_per_cell ~build_seed ~seed0 names defenses =
+  Sched.Pool.run_all pool
+    (List.concat_map
+       (fun name ->
+         let app, atk = case name in
+         let prog = Lazy.force app.Apps.Sessions.sprogram in
+         List.map
+           (fun d ->
+             Sched.Job.v
+               ~id:
+                 (Printf.sprintf "%s/%s/%s" exp name (Defenses.Defense.name d))
+               ~seed:build_seed
+               (fun () ->
+                 let applied = Defenses.Defense.apply ~seed:build_seed d prog in
+                 mk_cell name d
+                   (trials
+                      (Apps.Dopkit.verdict_of atk.Apps.Sessions.attack)
+                      applied ~n:trials_per_cell ~seed0)))
+           defenses)
+       names)
+
 let pentest ?(pool = Sched.Pool.sequential) ?(trials_per_cell = 12)
     ?(build_seed = 3L) () =
-  let cells =
-    Sched.Pool.run_all pool
-      (List.concat_map
-         (fun (v : Apps.Synth.variant) ->
-           let prog = Lazy.force v.program in
-           List.map
-             (fun d ->
-               Sched.Job.v
-                 ~id:
-                   (Printf.sprintf "e5/%s/%s" v.vname (Defenses.Defense.name d))
-                 ~seed:build_seed
-                 (fun () ->
-                   let applied = Defenses.Defense.apply ~seed:build_seed d prog in
-                   mk_cell v.vname d
-                     (trials v.attack applied ~n:trials_per_cell ~seed0:17)))
-             (defenses ()))
-         Apps.Synth.variants)
-  in
-  { title = "E5: synthetic DOP penetration tests (success rate per attempt)"; cells }
+  {
+    title = "E5: synthetic DOP penetration tests (success rate per attempt)";
+    cells =
+      case_cells ~pool ~exp:"e5" ~trials_per_cell ~build_seed ~seed0:17
+        pentest_cases (defenses ());
+  }
 
 let bypass_prior ?(pool = Sched.Pool.sequential) ?(trials_per_cell = 12)
     ?(builds = 12) () =
   let prog = Lazy.force Apps.Librelp.program in
   let strategies =
     [
-      ("librelp/static-analysis", Apps.Librelp.attack_static);
+      ( "librelp/static-analysis",
+        Apps.Dopkit.verdict_of Apps.Librelp.attack_static );
       ("librelp/disclosure", Apps.Librelp.attack_disclosure);
     ]
   in
@@ -100,43 +123,16 @@ let bypass_prior ?(pool = Sched.Pool.sequential) ?(trials_per_cell = 12)
 
 let realvuln ?(pool = Sched.Pool.sequential) ?(trials_per_cell = 12)
     ?(build_seed = 3L) () =
-  (* Programs are forced here, in the submitting domain, so the jobs
-     only ever read them. *)
-  let attacks =
-    [
-      ( "librelp/key-leak",
-        Lazy.force Apps.Librelp.program,
-        Apps.Librelp.attack_static );
-      ("wireshark/CVE-2014-2299", Lazy.force Apps.Wireshark.program, Apps.Wireshark.attack);
-      ( "proftpd/key-extraction",
-        Lazy.force Apps.Proftpd.program,
-        Apps.Proftpd.attack_key_extraction );
-      ("proftpd/bot", Lazy.force Apps.Proftpd.program, Apps.Proftpd.attack_bot);
-      ( "proftpd/mem-permissions",
-        Lazy.force Apps.Proftpd.program,
-        Apps.Proftpd.attack_memperm );
-    ]
-  in
-  let cells =
-    Sched.Pool.run_all pool
-      (List.concat_map
-         (fun (name, prog, attack) ->
-           List.map
-             (fun d ->
-               Sched.Job.v
-                 ~id:(Printf.sprintf "e6/%s/%s" name (Defenses.Defense.name d))
-                 ~seed:build_seed
-                 (fun () ->
-                   let applied = Defenses.Defense.apply ~seed:build_seed d prog in
-                   mk_cell name d
-                     (trials attack applied ~n:trials_per_cell ~seed0:29)))
-             [
-               Defenses.Defense.No_defense;
-               Defenses.Defense.Smokestack Smokestack.Config.default;
-             ])
-         attacks)
-  in
-  { title = "E6: real-vulnerability DOP exploits, undefended vs Smokestack"; cells }
+  {
+    title = "E6: real-vulnerability DOP exploits, undefended vs Smokestack";
+    cells =
+      case_cells ~pool ~exp:"e6" ~trials_per_cell ~build_seed ~seed0:29
+        realvuln_cases
+        [
+          Defenses.Defense.No_defense;
+          Defenses.Defense.Smokestack Smokestack.Config.default;
+        ];
+  }
 
 let rng_security ?(pool = Sched.Pool.sequential) ?(trials_per_cell = 12)
     ?(build_seed = 3L) () =
@@ -238,7 +234,7 @@ let brute ?(pool = Sched.Pool.sequential) ?(max_attempts = 400)
              let applied = Defenses.Defense.apply ~seed:build_seed d prog in
              let result =
                Attacks.Bruteforce.run ~max_attempts (fun i ->
-                   Apps.Librelp.attack_static applied
+                   Apps.Dopkit.verdict_of Apps.Librelp.attack_static applied
                      ~seed:(Int64.of_int (5000 + i)))
              in
              {

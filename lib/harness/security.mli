@@ -28,6 +28,18 @@ val trials :
     sequentially from inside their jobs (never nest [Sched.Pool.run_all]
     on the same pool). *)
 
+val pentest_cases : string list
+(** The six synthetic variants' {!Apps.Sessions} case names, in E5 row
+    order. *)
+
+val realvuln_cases : string list
+(** The five real-vulnerability exploits' {!Apps.Sessions} case names,
+    in E6 row order. *)
+
+val case : string -> Apps.Sessions.app * Apps.Sessions.attack
+(** {!Apps.Sessions.find_attack}, raising [Invalid_argument] on an
+    unknown name. *)
+
 val pentest : ?pool:Sched.Pool.t -> ?trials_per_cell:int -> ?build_seed:int64 -> unit -> t
 (** E5 — the synthetic {direct,indirect} x {stack,data,heap} matrix
     against all six defenses.  One job per (attack, defense) cell. *)

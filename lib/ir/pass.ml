@@ -4,29 +4,12 @@ type t =
 
 let name = function Function_pass { name; _ } | Module_pass { name; _ } -> name
 
-(* Process-wide pass-timing accumulator.  Passes run concurrently when
-   experiment jobs compile programs on several domains, so every access
-   is mutex-guarded; timings are diagnostics and never feed results. *)
-let timing_table : (string, float) Hashtbl.t = Hashtbl.create 16
-let timing_mutex = Mutex.create ()
-
-let with_timing_lock f =
-  Mutex.lock timing_mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock timing_mutex) f
-
-let record name dt =
-  with_timing_lock (fun () ->
-      let prev = Option.value ~default:0. (Hashtbl.find_opt timing_table name) in
-      Hashtbl.replace timing_table name (prev +. dt))
-
 let run ?(verify = true) ?post passes prog =
   List.iter
     (fun pass ->
-      let t0 = Sys.time () in
       (match pass with
       | Function_pass { run; _ } -> List.iter (run prog) prog.Prog.funcs
       | Module_pass { run; _ } -> run prog);
-      record (name pass) (Sys.time () -. t0);
       if verify then
         match Verifier.verify prog with
         | [] -> ()
@@ -51,10 +34,3 @@ let run ?(verify = true) ?post passes prog =
       | Error msg ->
           failwith
             (Printf.sprintf "pipeline post-condition validation failed:\n%s" msg))
-
-let timings () =
-  with_timing_lock (fun () ->
-      Hashtbl.fold (fun k v acc -> (k, v) :: acc) timing_table [])
-  |> List.sort (fun (_, a) (_, b) -> compare b a)
-
-let reset_timings () = with_timing_lock (fun () -> Hashtbl.reset timing_table)

@@ -23,12 +23,3 @@ val run :
     post-condition breakage are distinguishable from the message alone.
     The Smokestack hardening pipeline uses it to run the static
     validator of [Analysis.Validate]. *)
-
-val timings : unit -> (string * float) list
-(** Cumulative wall-clock seconds per pass name since startup, most
-    recent first; for the compile-time reporting in the harness.  The
-    accumulator is process-wide and mutex-guarded (passes may run from
-    several domains at once); it is diagnostic only and never feeds
-    experiment results. *)
-
-val reset_timings : unit -> unit

@@ -27,6 +27,11 @@ let value_to_string = function
   | Const v -> Int64.to_string v
   | Addr_of_global g -> "&" ^ g
 
+let strong_goal t =
+  match t.goal with
+  | Flip_global _ | Output_contains _ -> true
+  | Output_differs -> false
+
 let goal_to_string = function
   | Flip_global (g, c) -> Printf.sprintf "flip %s=%Ld" g c
   | Output_contains m -> Printf.sprintf "output has %S" m

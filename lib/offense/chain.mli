@@ -57,6 +57,11 @@ type t = {
 }
 
 val value_to_string : value -> string
+val strong_goal : t -> bool
+(** The goal is a semantic witness ([Flip_global], [Output_contains]),
+    not [Output_differs]: only such chains enter the entropy and
+    leak-guided measurements. *)
+
 val goal_to_string : goal -> string
 val family_to_string : family -> string
 

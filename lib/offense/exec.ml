@@ -1,18 +1,11 @@
-let run_chunks_probed ?backend ?fuel (applied : Defenses.Defense.applied)
-    ~seed ~chunks ~globals =
-  let backend =
-    match backend with Some b -> b | None -> Machine.Backend.default ()
+let run_chunks_probed ?backend ?fuel applied ~seed ~chunks ~globals =
+  let state = ref None in
+  let outcome, stats =
+    Apps.Runner.run_chunks ?backend
+      ~arm:(fun st -> state := Some st)
+      ?fuel applied ~seed ~chunks
   in
-  let entropy = Crypto.Entropy.create ~seed in
-  let st = applied.fresh_state entropy in
-  let remaining = ref chunks in
-  Machine.Exec.set_input st (fun _st max ->
-      match !remaining with
-      | [] -> ""
-      | chunk :: rest ->
-          remaining := rest;
-          if String.length chunk > max then String.sub chunk 0 max else chunk);
-  let outcome, stats = backend.Machine.Backend.run ?fuel st in
+  let st = Option.get !state in
   let finals =
     List.map
       (fun g ->

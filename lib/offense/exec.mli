@@ -1,8 +1,8 @@
 (** Chain executor — step 4 of the attack compiler: run a synthesized
     chain against one defense-applied build and judge it.
 
-    Unlike {!Apps.Runner} this runner keeps the final machine state, so
-    a {!Chain.Flip_global} goal is judged from the global's actual
+    Unlike a plain {!Apps.Runner} run this one keeps the final machine
+    state, so a {!Chain.Flip_global} goal is judged from the global's actual
     in-memory value after the run — the semantic witness — rather than
     from program output.  Everything reported is derived from the
     outcome, the output and final memory, all of which the engine
@@ -16,10 +16,9 @@ val run_chunks_probed :
   chunks:string list ->
   globals:string list ->
   Machine.Exec.outcome * Machine.Exec.stats * (string * int64) list
-(** One service process: fresh state from [seed]-derived entropy, each
-    [read_input] consumes the next chunk (truncated to the callee's
-    limit, empty once exhausted), then the named globals' final 8-byte
-    values are read back from memory. *)
+(** One {!Apps.Runner.run_chunks} service process whose state is
+    captured through [~arm]; after the run the named globals' final
+    8-byte values are read back from memory. *)
 
 val run_chain :
   ?backend:Machine.Backend.t ->

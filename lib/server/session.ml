@@ -42,9 +42,9 @@ let run ?backend ~(applied : Defenses.Defense.applied) (spec : spec) =
       in
       {
         spec;
-        verdict = r.Apps.Sessions.verdict;
-        service_cycles = cycles_of r.Apps.Sessions.stats;
-        requests = r.Apps.Sessions.requests;
+        verdict = r.Apps.Dopkit.verdict;
+        service_cycles = cycles_of r.Apps.Dopkit.stats;
+        requests = r.Apps.Dopkit.requests;
         fired = 0;
         batch_match = None;
       }
@@ -52,20 +52,21 @@ let run ?backend ~(applied : Defenses.Defense.applied) (spec : spec) =
       match Apps.Sessions.find_attack aname with
       | None -> invalid_arg ("Server.Session: unknown attack " ^ aname)
       | Some (_, atk) ->
-          let verdict, stats, requests =
-            atk.Apps.Sessions.session ?backend applied ~seed:spec.sseed
-          in
+          let r = atk.Apps.Sessions.attack ?backend applied ~seed:spec.sseed in
           (* The whole point of the server harness's security claim:
              serving the attack through the session machinery must
-             change nothing about its fate. *)
-          let batch_verdict = atk.Apps.Sessions.batch applied ~seed:spec.sseed in
+             change nothing about its fate — the same exploit re-run on
+             the default engine, as the batch harnesses run it, must
+             reach the same verdict. *)
+          let batch = atk.Apps.Sessions.attack applied ~seed:spec.sseed in
           {
             spec;
-            verdict;
-            service_cycles = cycles_of stats;
-            requests;
+            verdict = r.Apps.Dopkit.verdict;
+            service_cycles = cycles_of r.Apps.Dopkit.stats;
+            requests = r.Apps.Dopkit.requests;
             fired = 0;
-            batch_match = Some (verdict = batch_verdict);
+            batch_match =
+              Some (r.Apps.Dopkit.verdict = batch.Apps.Dopkit.verdict);
           })
   | Chaotic (flow, plan) ->
       let armed = ref None in
@@ -76,9 +77,9 @@ let run ?backend ~(applied : Defenses.Defense.applied) (spec : spec) =
       in
       {
         spec;
-        verdict = r.Apps.Sessions.verdict;
-        service_cycles = cycles_of r.Apps.Sessions.stats;
-        requests = r.Apps.Sessions.requests;
+        verdict = r.Apps.Dopkit.verdict;
+        service_cycles = cycles_of r.Apps.Dopkit.stats;
+        requests = r.Apps.Dopkit.requests;
         fired = (match !armed with Some a -> Fault.Inject.fired a | None -> 0);
         batch_match = None;
       }

@@ -14,7 +14,7 @@
 type kind =
   | Benign of string list  (** a legitimate request flow *)
   | Attack of string
-      (** a batch-harness case name, e.g. ["proftpd/bot"] *)
+      (** an {!Apps.Sessions} case name, e.g. ["proftpd/bot"] *)
   | Chaotic of string list * Fault.Plan.t
       (** a benign flow served while an infrastructure fault plan is
           armed on the instance (mem/intr families — RNG-source plans
@@ -41,8 +41,9 @@ type outcome = {
   requests : int;  (** request chunks delivered *)
   fired : int;  (** chaos injections that actually happened *)
   batch_match : bool option;
-      (** attacks only: did the served verdict equal the batch
-          harness's verdict for the same instance and seed? *)
+      (** attacks only: did the served verdict equal the verdict of
+          the same exploit re-run on the default engine (as the batch
+          harnesses run it) for the same instance and seed? *)
 }
 
 val kind_label : kind -> string

@@ -12,6 +12,9 @@ let success_rate attack applied ~n ~seed0 =
   done;
   float_of_int !ok /. float_of_int n
 
+let exploit_rate (exploit : Apps.Dopkit.exploit) =
+  success_rate (Apps.Dopkit.verdict_of exploit)
+
 (* ------------------------------------------------------------------ *)
 (* Synthetic variants *)
 
@@ -37,7 +40,7 @@ let test_synth_attacks_succeed_undefended () =
       let applied =
         Defenses.Defense.apply Defenses.Defense.No_defense (Lazy.force v.program)
       in
-      match v.attack applied ~seed:7L with
+      match (v.attack applied ~seed:7L).verdict with
       | Attacks.Verdict.Success -> ()
       | verdict ->
           Alcotest.failf "%s undefended: %s" v.vname
@@ -50,7 +53,7 @@ let test_synth_attacks_mostly_blocked_by_smokestack () =
       let applied =
         Defenses.Defense.apply ~seed:3L smokestack (Lazy.force v.program)
       in
-      let rate = success_rate v.attack applied ~n:15 ~seed0:100 in
+      let rate = exploit_rate v.attack applied ~n:15 ~seed0:100 in
       Alcotest.(check bool)
         (Printf.sprintf "%s rate %.2f < 0.35" v.vname rate)
         true (rate < 0.35))
@@ -65,7 +68,7 @@ let test_synth_direct_attacks_beat_stack_base () =
         Defenses.Defense.apply ~seed:3L Defenses.Defense.Stack_base
           (Lazy.force v.program)
       in
-      match v.attack applied ~seed:7L with
+      match (v.attack applied ~seed:7L).verdict with
       | Attacks.Verdict.Success -> ()
       | verdict -> Alcotest.failf "%s: %s" name (Attacks.Verdict.to_string verdict))
     [ "stack-direct"; "data-direct"; "heap-direct" ]
@@ -79,7 +82,7 @@ let test_synth_indirect_attacks_blocked_by_stack_base () =
         Defenses.Defense.apply ~seed:3L Defenses.Defense.Stack_base
           (Lazy.force v.program)
       in
-      match v.attack applied ~seed:7L with
+      match (v.attack applied ~seed:7L).verdict with
       | Attacks.Verdict.Success -> Alcotest.failf "%s should be blocked" name
       | _ -> ())
     [ "data-indirect"; "heap-indirect" ]
@@ -91,7 +94,7 @@ let test_stack_direct_is_a_dop_chain () =
   let prog = Lazy.force v.program in
   let applied = Defenses.Defense.apply Defenses.Defense.No_defense prog in
   (* sanity: attack works, then a truncated chain must not *)
-  (match v.attack applied ~seed:7L with
+  (match (v.attack applied ~seed:7L).verdict with
   | Attacks.Verdict.Success -> ()
   | verdict -> Alcotest.failf "full chain: %s" (Attacks.Verdict.to_string verdict));
   let vr0 = List.assoc "vr0" (Attacks.Layout.global_addrs applied.prog) in
@@ -118,7 +121,7 @@ let test_librelp_attack_matrix () =
     (fun (d, expect_static) ->
       let applied = Defenses.Defense.apply ~seed:3L d prog in
       let got =
-        match Apps.Librelp.attack_static applied ~seed:7L with
+        match (Apps.Librelp.attack_static applied ~seed:7L).verdict with
         | Attacks.Verdict.Success -> true
         | _ -> false
       in
@@ -195,7 +198,7 @@ let test_probe_then_exploit_needs_a_window () =
 let test_librelp_smokestack_brute_rate_low () =
   let prog = Lazy.force Apps.Librelp.program in
   let applied = Defenses.Defense.apply ~seed:3L smokestack prog in
-  let rate = success_rate Apps.Librelp.attack_static applied ~n:40 ~seed0:900 in
+  let rate = exploit_rate Apps.Librelp.attack_static applied ~n:40 ~seed0:900 in
   Alcotest.(check bool)
     (Printf.sprintf "rate %.2f < 0.2" rate)
     true (rate < 0.2)
@@ -212,11 +215,11 @@ let test_wireshark_matrix () =
   Alcotest.(check bool) "benign" true
     (outcome = Machine.Exec.Exit 0L
     && not (Apps.Dopkit.goal_in_output Apps.Wireshark.granted stats));
-  (match Apps.Wireshark.attack applied0 ~seed:7L with
+  (match (Apps.Wireshark.attack applied0 ~seed:7L).verdict with
   | Attacks.Verdict.Success -> ()
   | v -> Alcotest.failf "undefended: %s" (Attacks.Verdict.to_string v));
   let hardened = Defenses.Defense.apply ~seed:3L smokestack prog in
-  let rate = success_rate Apps.Wireshark.attack hardened ~n:15 ~seed0:300 in
+  let rate = exploit_rate Apps.Wireshark.attack hardened ~n:15 ~seed0:300 in
   Alcotest.(check bool) (Printf.sprintf "rate %.2f < 0.2" rate) true (rate < 0.2)
 
 let test_proftpd_three_exploits () =
@@ -228,12 +231,12 @@ let test_proftpd_three_exploits () =
   Alcotest.(check bool) "benign says bye" true
     (outcome = Machine.Exec.Exit 0L && stats.output = "bye\n");
   List.iter
-    (fun (name, attack) ->
-      (match attack applied0 ~seed:7L with
+    (fun (name, (attack : Apps.Dopkit.exploit)) ->
+      (match (attack applied0 ~seed:7L).verdict with
       | Attacks.Verdict.Success -> ()
       | v -> Alcotest.failf "%s undefended: %s" name (Attacks.Verdict.to_string v));
       let hardened = Defenses.Defense.apply ~seed:3L smokestack prog in
-      let rate = success_rate attack hardened ~n:10 ~seed0:700 in
+      let rate = exploit_rate attack hardened ~n:10 ~seed0:700 in
       Alcotest.(check bool)
         (Printf.sprintf "%s rate %.2f < 0.2" name rate)
         true (rate < 0.2))
@@ -250,9 +253,8 @@ let test_proftpd_detection_dominates () =
   let detected = ref 0 in
   let n = 12 in
   for i = 0 to n - 1 do
-    match
-      Apps.Proftpd.attack_memperm hardened ~seed:(Int64.of_int (100 + (31 * i)))
-    with
+    let seed = Int64.of_int (100 + (31 * i)) in
+    match (Apps.Proftpd.attack_memperm hardened ~seed).verdict with
     | Attacks.Verdict.Detected _ -> incr detected
     | _ -> ()
   done;
@@ -270,11 +272,13 @@ let test_optimized_builds_keep_the_security_story () =
      undefended and as protected hardened *)
   let prog = Minic.Driver.compile ~optimize:true Apps.Librelp.source in
   let applied0 = Defenses.Defense.apply Defenses.Defense.No_defense prog in
-  (match Apps.Librelp.attack_static applied0 ~seed:7L with
+  (match (Apps.Librelp.attack_static applied0 ~seed:7L).verdict with
   | Attacks.Verdict.Success -> ()
   | v -> Alcotest.failf "-O1 undefended: %s" (Attacks.Verdict.to_string v));
   let hardened = Defenses.Defense.apply ~seed:3L smokestack prog in
-  let rate = success_rate Apps.Librelp.attack_static hardened ~n:15 ~seed0:8000 in
+  let rate =
+    exploit_rate Apps.Librelp.attack_static hardened ~n:15 ~seed0:8000
+  in
   Alcotest.(check bool)
     (Printf.sprintf "-O1 hardened rate %.2f < 0.25" rate)
     true (rate < 0.25);
@@ -285,6 +289,61 @@ let test_optimized_builds_keep_the_security_story () =
   Alcotest.(check bool) "benign -O1 hardened" true
     (outcome = Machine.Exec.Exit 0L
     && not (Apps.Dopkit.goal_in_output Apps.Librelp.key_leak_marker stats))
+
+(* ------------------------------------------------------------------ *)
+(* The registry of the eleven hand-written exploits *)
+
+let test_registry_names () =
+  let names =
+    List.map
+      (fun (_, (a : Apps.Sessions.attack)) -> a.aname)
+      Apps.Sessions.attacks
+  in
+  Alcotest.(check int) "eleven cases" 11 (List.length names);
+  Alcotest.(check int) "unique names" 11
+    (List.length (List.sort_uniq String.compare names));
+  List.iter
+    (fun (report, listed) ->
+      List.iter
+        (fun name ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s case %s in the registry" report name)
+            true
+            (Option.is_some (Apps.Sessions.find_attack name)))
+        listed)
+    [
+      ("realvuln", Harness.Security.realvuln_cases);
+      ("pentest", Harness.Security.pentest_cases);
+      ("crossval", Harness.Crossval.case_names);
+    ]
+
+(* The one entry point is engine-selectable and the engines agree:
+   same verdict, requests, output and cycle count at one seed. *)
+let test_registry_engines_agree () =
+  List.iter
+    (fun ((app : Apps.Sessions.app), (atk : Apps.Sessions.attack)) ->
+      List.iter
+        (fun d ->
+          let applied =
+            Defenses.Defense.apply ~seed:3L d (Lazy.force app.sprogram)
+          in
+          let run backend = atk.attack ~backend applied ~seed:7L in
+          let r = run Machine.Backend.reference
+          and b = run Engine.Backend.backend in
+          let what = atk.aname ^ " under " ^ Defenses.Defense.name d in
+          let observe (x : Apps.Dopkit.result) =
+            ( Attacks.Verdict.to_string x.verdict,
+              x.requests,
+              Option.map
+                (fun (s : Machine.Exec.stats) -> (s.output, s.cycles))
+                x.stats )
+          in
+          if d = Defenses.Defense.No_defense then
+            Alcotest.(check bool) (what ^ " ran") true (Option.is_some r.stats);
+          Alcotest.(check (triple string int (option (pair string (float 0.)))))
+            what (observe r) (observe b))
+        [ Defenses.Defense.No_defense; smokestack ])
+    Apps.Sessions.attacks
 
 (* ------------------------------------------------------------------ *)
 (* Workloads *)
@@ -346,6 +405,12 @@ let () =
         [
           Alcotest.test_case "security story survives -O1" `Quick
             test_optimized_builds_keep_the_security_story;
+        ] );
+      ( "registry",
+        [
+          Alcotest.test_case "eleven named cases" `Quick test_registry_names;
+          Alcotest.test_case "ref and bytecode agree" `Quick
+            test_registry_engines_agree;
         ] );
       ( "workloads",
         [

@@ -455,6 +455,49 @@ let test_experiments_json () =
   | Ok _ -> ()
   | Error e -> Alcotest.failf "%s does not parse: %s" path e
 
+(* --- attack ---------------------------------------------------------- *)
+
+(* The attack compiler's headline invariants (DESIGN.md §15): at least
+   one synthesized chain lands on the undefended build, none lands under
+   full hardening, every landing chain is grounded in static DOP pairs,
+   and the report is byte-identical across --jobs widths. *)
+let attack_small =
+  [ "attack"; "--workload"; "stack-direct"; "--workload"; "stack-indirect";
+    "--progen"; "10" ]
+
+let test_attack_invariants () =
+  let json = Filename.temp_file "smokestackc_offense" ".json" in
+  Fun.protect ~finally:(fun () -> Sys.remove json) @@ fun () ->
+  let j4 = run_cli_stdout (attack_small @ [ "--jobs"; "4"; "--json"; json ]) in
+  let j1 = run_cli_stdout (attack_small @ [ "--jobs"; "1" ]) in
+  check_code "attack --jobs 4" 0 j4;
+  check_code "attack --jobs 1" 0 j1;
+  Alcotest.(check string) "stdout byte-identical across --jobs" (snd j1)
+    (snd j4);
+  let ic = open_in_bin json in
+  let text =
+    Fun.protect
+      ~finally:(fun () -> close_in ic)
+      (fun () -> really_input_string ic (in_channel_length ic))
+  in
+  let summary =
+    match
+      Result.map (Sutil.Json.member "summary") (Sutil.Json.of_string text)
+    with
+    | Ok (Some s) -> s
+    | _ -> Alcotest.failf "attack --json lacks a summary: %s" text
+  in
+  let field name = Sutil.Json.member name summary in
+  (match Option.bind (field "landed_unhardened") Sutil.Json.to_int_opt with
+  | Some n when n >= 1 -> ()
+  | _ -> Alcotest.failf "no chain landed undefended: %s" text);
+  (match Option.bind (field "full_successes") Sutil.Json.to_int_opt with
+  | Some 0 -> ()
+  | _ -> Alcotest.failf "a chain survived full hardening: %s" text);
+  match field "all_grounded" with
+  | Some (Sutil.Json.Bool true) -> ()
+  | _ -> Alcotest.failf "ungrounded landing chain: %s" text
+
 let () =
   Alcotest.run "cli"
     [
@@ -512,5 +555,10 @@ let () =
           Alcotest.test_case "leaks identical across jobs" `Slow
             (experiments_across_jobs [ "leaks" ]);
           Alcotest.test_case "json tables written" `Quick test_experiments_json;
+        ] );
+      ( "attack",
+        [
+          Alcotest.test_case "invariants and jobs identity" `Quick
+            test_attack_invariants;
         ] );
     ]
