@@ -198,13 +198,6 @@ let run_cmd =
     let policy =
       if fail_open then Rng.Generator.Fail_open else Rng.Generator.Fail_secure
     in
-    let degr_str (d : Rng.Generator.degradation) =
-      Printf.sprintf "%s->%s"
-        (Rng.Scheme.name d.from_scheme)
-        (match d.to_scheme with
-        | Some s -> Rng.Scheme.name s
-        | None -> "ABORT")
-    in
     (* One self-contained run; returns everything to print so that
        multi-seed runs can execute as pool jobs and still emit output in
        seed order. *)
@@ -241,7 +234,8 @@ let run_cmd =
               | Some g when Rng.Generator.degradations g <> [] ->
                   " degraded: "
                   ^ String.concat ", "
-                      (List.map degr_str (Rng.Generator.degradations g))
+                      (List.map Rng.Generator.degradation_to_string
+                         (Rng.Generator.degradations g))
               | _ -> ""))
           armed
       in
@@ -908,8 +902,9 @@ let serve_cmd =
       "serve: %.1f s wall; pool: %d jobs, %d retries, %d timeouts, peak queue %d\n"
       wall stats.Sched.Pool.jobs_run stats.Sched.Pool.retries
       stats.Sched.Pool.timeouts stats.Sched.Pool.peak_queue;
-    (* a served attack diverging from its batch verdict is a harness
-       soundness bug; make it impossible to miss in scripts and CI *)
+    (* a served attack whose re-run on the other engine disagrees is an
+       engine or harness soundness bug; make it impossible to miss in
+       scripts and CI *)
     if t.Harness.Serve.summary.Server.Metrics.batch_mismatches > 0 then begin
       Printf.eprintf "smokestackc: serve: %d batch-verdict mismatch(es)\n"
         t.Harness.Serve.summary.Server.Metrics.batch_mismatches;
@@ -1016,7 +1011,8 @@ let serve_cmd =
           circuit breakers, weighted-fair priority scheduling and \
           graceful degradation under fault storms.  The report is \
           byte-identical at any $(b,--jobs) and on either engine; exit 1 \
-          if any served attack's verdict diverges from the batch harness.")
+          if any served attack, re-run on the other engine, differs in \
+          verdict, requests or stats.")
     Term.(
       const action $ sessions_arg $ attack_arg $ chaos_arg $ gap_arg
       $ workers_arg $ capacity_arg $ seed_arg $ jobs_arg $ engine_arg

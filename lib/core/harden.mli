@@ -41,8 +41,6 @@ val harden : ?seed:int64 -> ?validate:bool -> Config.t -> Ir.Prog.t -> t
     verification, or validation finds a violation. *)
 
 val prepare :
-  ?heap_size:int ->
-  ?stack_size:int ->
   ?entropy:Crypto.Entropy.t ->
   ?gen:Rng.Generator.t ->
   t ->

@@ -21,8 +21,7 @@ let all ?(smokestack = Smokestack.Config.default) () =
 type applied = {
   defense : t;
   prog : Ir.Prog.t;
-  fresh_state :
-    ?heap_size:int -> ?stack_size:int -> Crypto.Entropy.t -> Machine.Exec.state;
+  fresh_state : Crypto.Entropy.t -> Machine.Exec.state;
   pbox_bytes : int;
 }
 
@@ -33,9 +32,7 @@ let apply ?(seed = 1L) defense prog =
       {
         defense;
         prog;
-        fresh_state =
-          (fun ?heap_size ?stack_size _entropy ->
-            Machine.Exec.prepare ?heap_size ?stack_size prog);
+        fresh_state = (fun _entropy -> Machine.Exec.prepare prog);
         pbox_bytes = 0;
       }
   | Stack_base ->
@@ -44,8 +41,8 @@ let apply ?(seed = 1L) defense prog =
         defense;
         prog;
         fresh_state =
-          (fun ?heap_size ?stack_size entropy ->
-            let st = Machine.Exec.prepare ?heap_size ?stack_size prog in
+          (fun entropy ->
+            let st = Machine.Exec.prepare prog in
             Stack_base.install ~entropy st;
             st);
         pbox_bytes = 0;
@@ -56,9 +53,7 @@ let apply ?(seed = 1L) defense prog =
       {
         defense;
         prog;
-        fresh_state =
-          (fun ?heap_size ?stack_size _entropy ->
-            Machine.Exec.prepare ?heap_size ?stack_size prog);
+        fresh_state = (fun _entropy -> Machine.Exec.prepare prog);
         pbox_bytes = 0;
       }
   | Static_perm ->
@@ -67,9 +62,7 @@ let apply ?(seed = 1L) defense prog =
       {
         defense;
         prog;
-        fresh_state =
-          (fun ?heap_size ?stack_size _entropy ->
-            Machine.Exec.prepare ?heap_size ?stack_size prog);
+        fresh_state = (fun _entropy -> Machine.Exec.prepare prog);
         pbox_bytes = 0;
       }
   | Canary ->
@@ -79,8 +72,8 @@ let apply ?(seed = 1L) defense prog =
         defense;
         prog;
         fresh_state =
-          (fun ?heap_size ?stack_size entropy ->
-            let st = Machine.Exec.prepare ?heap_size ?stack_size prog in
+          (fun entropy ->
+            let st = Machine.Exec.prepare prog in
             Canary.install ~entropy st;
             st);
         pbox_bytes = 0;
@@ -91,7 +84,6 @@ let apply ?(seed = 1L) defense prog =
         defense;
         prog = hardened.prog;
         fresh_state =
-          (fun ?heap_size ?stack_size entropy ->
-            Smokestack.Harden.prepare ?heap_size ?stack_size ~entropy hardened);
+          (fun entropy -> Smokestack.Harden.prepare ~entropy hardened);
         pbox_bytes = Smokestack.Harden.pbox_bytes hardened;
       }

@@ -20,8 +20,7 @@ val all : ?smokestack:Smokestack.Config.t -> unit -> t list
 type applied = {
   defense : t;
   prog : Ir.Prog.t;  (** transformed copy; the input program is untouched *)
-  fresh_state :
-    ?heap_size:int -> ?stack_size:int -> Crypto.Entropy.t -> Machine.Exec.state;
+  fresh_state : Crypto.Entropy.t -> Machine.Exec.state;
       (** prepare a runnable state, installing whatever runtime the
           defense needs; per-run randomness comes from the entropy
           source, so distinct sources model service restarts *)

@@ -48,29 +48,17 @@ let default_plans =
 
 let default_workloads = [ "mcf"; "proftpd-io" ]
 
-let degr_str (d : Rng.Generator.degradation) =
-  Printf.sprintf "%s->%s"
-    (Rng.Scheme.name d.from_scheme)
-    (match d.to_scheme with Some s -> Rng.Scheme.name s | None -> "ABORT")
-
-(* Everything a run exposes; two runs with equal [obs] are
-   observationally identical. *)
+(* Everything a run exposes; two runs are observationally identical
+   when Machine.Agree finds no difference in [o_run] and they fired and
+   degraded alike. *)
 type obs = {
   o_outcome : Machine.Exec.outcome;
-  o_output : string;
-  o_cycles : float;
-  o_instrs : int;
+  o_run : string * Machine.Exec.stats;
   o_fired : int;
   o_degr : string list;
 }
 
-let same_obs a b =
-  String.equal
-    (Machine.Exec.outcome_to_string a.o_outcome)
-    (Machine.Exec.outcome_to_string b.o_outcome)
-  && String.equal a.o_output b.o_output
-  && Float.equal a.o_cycles b.o_cycles
-  && a.o_instrs = b.o_instrs
+let same_run a b = Option.is_none (Machine.Agree.first_diff a.o_run b.o_run)
 
 (* One hardened run of [w], optionally with [plan] armed.  The
    generator is caller-visible state (degradations, tamper), so the
@@ -89,11 +77,11 @@ let observe ?plan ~policy ~scheme ~backend ~seed (w : Apps.Spec.workload) =
   let outcome, stats = backend.Machine.Backend.run ~fuel:400_000_000 st in
   {
     o_outcome = outcome;
-    o_output = stats.Machine.Exec.output;
-    o_cycles = stats.Machine.Exec.cycles;
-    o_instrs = stats.Machine.Exec.instr_count;
+    o_run = Machine.Agree.of_run (outcome, stats);
     o_fired = (match armed with Some a -> Fault.Inject.fired a | None -> 0);
-    o_degr = List.map degr_str (Rng.Generator.degradations gen);
+    o_degr =
+      List.map Rng.Generator.degradation_to_string
+        (Rng.Generator.degradations gen);
   }
 
 let scheme_for (plan : Fault.Plan.t) =
@@ -119,11 +107,11 @@ let cell ~seed ~(plan : Fault.Plan.t) (w : Apps.Spec.workload) =
     observe ~policy ~scheme ~backend:Machine.Backend.reference ~seed w
   in
   let agree =
-    same_obs faulted_ref faulted_bc
+    same_run faulted_ref faulted_bc
     && faulted_ref.o_fired = faulted_bc.o_fired
     && faulted_ref.o_degr = faulted_bc.o_degr
   in
-  let clean = same_obs faulted_ref clean_ref && faulted_ref.o_degr = [] in
+  let clean = same_run faulted_ref clean_ref && faulted_ref.o_degr = [] in
   if plan.trigger = Fault.Plan.Never && not clean then
     failwith
       (Printf.sprintf
@@ -140,7 +128,7 @@ let cell ~seed ~(plan : Fault.Plan.t) (w : Apps.Spec.workload) =
     cworkload = w.wname;
     cspec = Fault.Plan.to_spec plan;
     cfamily = Fault.Plan.family plan;
-    coutcome = Machine.Exec.outcome_to_string faulted_ref.o_outcome;
+    coutcome = fst faulted_ref.o_run;
     cfired = faulted_ref.o_fired;
     ccaught = caught;
     cdegradations = faulted_ref.o_degr;
@@ -182,7 +170,7 @@ let policy_rows ~seed (w : Apps.Spec.workload) =
           (match policy with
           | Rng.Generator.Fail_secure -> "fail-secure"
           | Rng.Generator.Fail_open -> "fail-open");
-        poutcome = Machine.Exec.outcome_to_string o.o_outcome;
+        poutcome = fst o.o_run;
         pdegradations = o.o_degr;
         pscore =
           (match policy with

@@ -33,11 +33,14 @@ type row = {
   coutcome : string;  (** reference-engine outcome *)
   cfired : int;  (** injections that actually happened *)
   ccaught : bool;  (** [Detected] outcome or a recorded degradation *)
-  cdegradations : string list;  (** e.g. ["RDRAND->AES-10"] *)
+  cdegradations : string list;
+      (** {!Rng.Generator.degradation_to_string}, e.g. ["RDRAND->AES-10"] *)
   cengines_agree : bool;
-      (** both backends: same outcome, output, cycles, instruction
-          count, fired count and degradations *)
-  cclean : bool;  (** observables identical to the fault-free run *)
+      (** both backends: no difference under {!Machine.Agree}, same
+          fired count and degradations *)
+  cclean : bool;
+      (** no difference from the fault-free run under
+          {!Machine.Agree}, and no degradation *)
   ccorrupting : bool;
       (** counted in the detection rate (latency spikes are not) *)
 }

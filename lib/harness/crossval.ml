@@ -54,24 +54,17 @@ let cached_verdicts ?store ~source ~config ~extra thunk =
           ~engine:(Machine.Backend.default ()).Machine.Backend.kind ~seed:17L
           ~extra ()
       in
-      let cached =
-        match
-          Option.bind (Store.Cache.find store key) Store.Entry.verdicts_of_entry
-        with
-        | Some pairs ->
+      let decode e =
+        Option.bind (Store.Entry.verdicts_of_entry e) (fun pairs ->
             let vs = List.map verdict_of_pair pairs in
             if List.for_all Option.is_some vs then
               Some (List.filter_map Fun.id vs)
-            else None
-        | None -> None
+            else None)
       in
-      match cached with
-      | Some verdicts -> verdicts
-      | None ->
-          let verdicts = thunk () in
-          Store.Cache.put store key
-            (Store.Entry.verdicts_entry (List.map verdict_to_pair verdicts));
-          verdicts)
+      Store.Cache.memo store key ~decode
+        ~encode:(fun verdicts ->
+          Store.Entry.verdicts_entry (List.map verdict_to_pair verdicts))
+        thunk)
 
 let run ?(pool = Sched.Pool.sequential) ?store ?(trials = 6) () =
   let cases = cases () in
@@ -211,7 +204,7 @@ let run_selective ?(pool = Sched.Pool.sequential) ?store ?(trials = 6)
               in
               match store with
               | None -> fresh ()
-              | Some store -> (
+              | Some store ->
                   let key =
                     Store.Key.of_source ~source_text:psource
                       ~config:(config_of d)
@@ -219,15 +212,8 @@ let run_selective ?(pool = Sched.Pool.sequential) ?store ?(trials = 6)
                         (Machine.Backend.default ()).Machine.Backend.kind
                       ~seed:7L ~extra:"selective;chunks=;hseed=3" ()
                   in
-                  match
-                    Option.bind (Store.Cache.find store key)
-                      Store.Entry.exec_of_entry
-                  with
-                  | Some exec -> exec
-                  | None ->
-                      let exec = fresh () in
-                      Store.Cache.put store key (Store.Entry.exec_entry exec);
-                      exec)
+                  Store.Cache.memo store key ~decode:Store.Entry.exec_of_entry
+                    ~encode:Store.Entry.exec_entry fresh
             in
             let ef = run_under full and es = run_under sel in
             let identical =

@@ -1,20 +1,20 @@
 (* Differential validation of execution engines.
 
    Runs the same prepared program under two backends and demands
-   bit-identical observables: outcome, program output, and every stats
-   field including the float cycle count (charges are order-sensitive,
-   so even a reassociated addition shows up here).  Used by
-   test/test_engine.ml as a tier-1 gate and available from
-   experiments/bench drivers as a preflight check. *)
+   bit-identical observables, as Machine.Agree defines them.  Used by
+   test/test_engine.ml as a tier-1 gate and available to experiments
+   and benchmarks as a preflight check.  A store-served leg
+   is compared on its decoded exec record, which carries the same
+   rendered outcome and bit-exact stats a fresh leg does. *)
 
-type mismatch = { case : string; field : string; expected : string; actual : string }
+type mismatch = { case : string; diff : Machine.Agree.diff }
 type report = { cases : int; mismatches : mismatch list }
 
 let ok r = r.mismatches = []
 
 let mismatch_to_string m =
-  Printf.sprintf "%s: %s differs: %s (reference) vs %s" m.case m.field
-    m.expected m.actual
+  Printf.sprintf "%s: %s (reference vs bytecode)" m.case
+    (Machine.Agree.diff_to_string m.diff)
 
 let report_to_string r =
   if ok r then Printf.sprintf "%d case(s), all observables identical" r.cases
@@ -23,36 +23,8 @@ let report_to_string r =
       (List.length r.mismatches)
       (String.concat "\n" (List.map mismatch_to_string r.mismatches))
 
-(* Compare field by field so a mismatch names the first observable that
-   diverged instead of a bare "stats differ".  The comparison runs on
-   Store.Entry.exec records — the same representation cached results
-   decode to — so a store-served leg goes through byte-for-byte the
-   comparison a fresh leg does (the exec codec keeps cycles bit-exact
-   and output verbatim). *)
-let compare_exec ~case (e1 : Store.Entry.exec) (e2 : Store.Entry.exec) =
-  let s1 = e1.stats and s2 = e2.stats in
-  let diffs = ref [] in
-  let check field expected actual =
-    if not (String.equal expected actual) then
-      diffs := { case; field; expected; actual } :: !diffs
-  in
-  check "outcome" e1.outcome e2.outcome;
-  (* %h prints the exact bit pattern, so off-by-one-ulp cycle drift is
-     caught and printed unambiguously *)
-  check "cycles" (Printf.sprintf "%h" s1.cycles) (Printf.sprintf "%h" s2.cycles);
-  check "instr_count" (string_of_int s1.instr_count)
-    (string_of_int s2.instr_count);
-  check "call_count" (string_of_int s1.call_count) (string_of_int s2.call_count);
-  check "max_depth" (string_of_int s1.max_depth) (string_of_int s2.max_depth);
-  check "max_frame_bytes"
-    (string_of_int s1.max_frame_bytes)
-    (string_of_int s2.max_frame_bytes);
-  check "rss_bytes" (string_of_int s1.rss_bytes) (string_of_int s2.rss_bytes);
-  check "output" (String.escaped s1.output) (String.escaped s2.output);
-  List.rev !diffs
-
-let compare_observables ~case run1 run2 =
-  compare_exec ~case (Store.Entry.exec_of_run run1) (Store.Entry.exec_of_run run2)
+let mismatches ~case diff =
+  Option.to_list (Option.map (fun diff -> { case; diff }) diff)
 
 let backends () =
   (* referencing the engine's backend value (not just the registry)
@@ -64,7 +36,7 @@ let check_applied ~case ?(fuel = 400_000_000) ~seed ~chunks applied =
   let run backend =
     Apps.Runner.run_chunks ~backend ~fuel applied ~seed ~chunks
   in
-  compare_observables ~case (run reference) (run bytecode)
+  mismatches ~case (Machine.Agree.runs (run reference) (run bytecode))
 
 let defenses_under_test =
   [ Defenses.Defense.No_defense;
@@ -112,30 +84,27 @@ let check_progen ?(pool = Sched.Pool.sequential) ?store ?(fuel = 2_000_000)
                         (backend.run ~fuel
                            (Machine.Exec.prepare (Lazy.force prog)))
                     in
-                    match store with
-                    | None -> fresh ()
-                    | Some store -> (
-                        (* each engine gets its own key: the store must
-                           never launder one engine's observables into
-                           the other's leg of the comparison *)
-                        let key =
-                          Store.Key.of_source ~source_text:source ~config:None
-                            ~engine:backend.kind ~seed:0L
-                            ~extra:(Printf.sprintf "diffval;fuel=%d" fuel)
-                            ()
-                        in
-                        match
-                          Option.bind (Store.Cache.find store key)
-                            Store.Entry.exec_of_entry
-                        with
-                        | Some exec -> exec
-                        | None ->
-                            let exec = fresh () in
-                            Store.Cache.put store key
-                              (Store.Entry.exec_entry exec);
-                            exec)
+                    let exec =
+                      match store with
+                      | None -> fresh ()
+                      | Some store ->
+                          (* each engine gets its own key: the store must
+                             never launder one engine's observables into
+                             the other's leg of the comparison *)
+                          let key =
+                            Store.Key.of_source ~source_text:source
+                              ~config:None ~engine:backend.kind ~seed:0L
+                              ~extra:(Printf.sprintf "diffval;fuel=%d" fuel)
+                              ()
+                          in
+                          Store.Cache.memo store key
+                            ~decode:Store.Entry.exec_of_entry
+                            ~encode:Store.Entry.exec_entry fresh
+                    in
+                    (exec.Store.Entry.outcome, exec.Store.Entry.stats)
                   in
-                  compare_exec ~case (leg reference) (leg bytecode)))
+                  mismatches ~case
+                    (Machine.Agree.first_diff (leg reference) (leg bytecode))))
             (List.of_seq (Minic.Progen.range ~seed count))))
   in
   { cases = count; mismatches }

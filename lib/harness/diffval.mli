@@ -2,47 +2,25 @@
 
     Runs identical prepared programs under the reference interpreter
     ({!Machine.Exec.run}) and the bytecode engine ({!Engine.Interp.run})
-    and checks every observable for bit-identity: outcome, program
-    output, and each {!Machine.Exec.stats} field — including the float
-    cycle count, whose additions are order-sensitive, so a reassociated
-    or dropped charge cannot hide.  [test/test_engine.ml] runs these
-    checks as tier-1 tests. *)
+    and compares the two runs with {!Machine.Agree.first_diff}, the one
+    definition of engine agreement: outcome with its fault payload,
+    program output, every {!Machine.Exec.stats} counter, and the float
+    cycle count bit for bit, so a reassociated or dropped charge cannot
+    hide.  [test/test_engine.ml] runs these checks as tier-1 tests. *)
 
 type mismatch = {
   case : string;  (** e.g. ["gobmk/smokestack"] or ["progen seed 17"] *)
-  field : string;  (** first observable that diverged *)
-  expected : string;  (** reference interpreter's value *)
-  actual : string;  (** bytecode engine's value *)
+  diff : Machine.Agree.diff;
+      (** the first observable that diverged; [expected] is the
+          reference interpreter's value, [actual] the bytecode
+          engine's *)
 }
 
 type report = { cases : int; mismatches : mismatch list }
+(** At most one mismatch per case. *)
 
 val ok : report -> bool
-val mismatch_to_string : mismatch -> string
 val report_to_string : report -> string
-
-val compare_exec :
-  case:string -> Store.Entry.exec -> Store.Entry.exec -> mismatch list
-(** Field-by-field comparison on the store's exec records — the common
-    representation of fresh and cache-served runs, so a cached leg is
-    compared by exactly the code path a fresh leg is. *)
-
-val compare_observables :
-  case:string ->
-  Machine.Exec.outcome * Machine.Exec.stats ->
-  Machine.Exec.outcome * Machine.Exec.stats ->
-  mismatch list
-(** {!compare_exec} on two fresh runs. *)
-
-val check_applied :
-  case:string ->
-  ?fuel:int ->
-  seed:int64 ->
-  chunks:string list ->
-  Defenses.Defense.applied ->
-  mismatch list
-(** One defense-applied program, both backends, fresh state each
-    (entropy derived from [seed], so both runs see identical draws). *)
 
 val check_apps : ?pool:Sched.Pool.t -> ?fuel:int -> unit -> report
 (** Every {!Apps.Spec.all} workload under both [No_defense] and the
@@ -61,4 +39,6 @@ val check_progen :
     seed.  With [?store], each engine's leg is served from (and
     recorded to) the store under its own engine-keyed entry, so warm
     re-validation replays both legs without executing either — the
-    report is identical either way. *)
+    report is identical either way, because a decoded exec record
+    carries the same rendered outcome and bit-exact stats a fresh run
+    does. *)

@@ -158,7 +158,7 @@ let run ?(pool = Sched.Pool.sequential) ?store ?(progen = 4) ?(score = true) ()
                  }
                in
                match (store, source) with
-               | Some store, Some source -> (
+               | Some store, Some source ->
                    (* static analysis: no execution engine or run seed
                       is involved, so those key fields are pinned *)
                    let key =
@@ -167,15 +167,9 @@ let run ?(pool = Sched.Pool.sequential) ?store ?(progen = 4) ?(score = true) ()
                        ~extra:(Printf.sprintf "surface;score=%b" score)
                        ()
                    in
-                   match
-                     Option.bind (Store.Cache.find store key)
-                       (row_of_entry ~pname ~pkind)
-                   with
-                   | Some row -> row
-                   | None ->
-                       let row = analyze () in
-                       Store.Cache.put store key (row_entry row);
-                       row)
+                   Store.Cache.memo store key
+                     ~decode:(row_of_entry ~pname ~pkind)
+                     ~encode:row_entry analyze
                | _ -> analyze ()))
          programs)
   in

@@ -48,52 +48,32 @@ let workbench_key ~config ~backend ~seed (w : Apps.Spec.workload) =
       (Printf.sprintf "workbench;input=%s;hseed=3" (Store.Hash.hex w.input))
     ()
 
-(* Look up an exec entry, or run [thunk] and record its result.  Only
-   clean [run]s are ever stored (run raises otherwise), so a cached
-   entry never masks a workload crash. *)
-let cached_exec ~store ~key thunk =
-  let cached =
-    match Store.Cache.find store key with
-    | Some e -> Store.Entry.exec_of_entry e
-    | None -> None
-  in
-  match cached with
-  | Some exec -> exec
-  | None ->
-      let exec = thunk () in
-      Store.Cache.put store key (Store.Entry.exec_entry exec);
-      exec
-
-let baseline ?backend ?(store = shared_store) ?(seed = 1L)
-    (w : Apps.Spec.workload) =
+(* One run of [w], hardened under [config] when given, served from
+   [store].  Only clean [run]s are ever stored (run raises otherwise),
+   so a cached entry never masks a workload crash. *)
+let cached_exec ?backend ~store ~seed ~config (w : Apps.Spec.workload) =
   let backend =
     match backend with Some b -> b | None -> Machine.Backend.default ()
   in
-  let key = workbench_key ~config:None ~backend ~seed w in
-  let exec =
-    cached_exec ~store ~key (fun () ->
-        let applied =
-          Defenses.Defense.apply Defenses.Defense.No_defense
-            (Lazy.force w.program)
-        in
-        Store.Entry.exec_of_run (run ~backend applied ~seed w))
-  in
-  exec.Store.Entry.stats
+  Store.Cache.memo store
+    (workbench_key ~config ~backend ~seed w)
+    ~decode:Store.Entry.exec_of_entry ~encode:Store.Entry.exec_entry
+    (fun () ->
+      let defense =
+        match config with
+        | None -> Defenses.Defense.No_defense
+        | Some c -> Defenses.Defense.Smokestack c
+      in
+      let applied =
+        Defenses.Defense.apply ~seed:3L defense (Lazy.force w.program)
+      in
+      Store.Entry.exec_of_run
+        ?pbox_bytes:(Option.map (fun _ -> applied.pbox_bytes) config)
+        (run ~backend applied ~seed w))
 
-let smokestack_stats ?backend ?(store = shared_store) ?(seed = 1L) config
-    (w : Apps.Spec.workload) =
-  let backend =
-    match backend with Some b -> b | None -> Machine.Backend.default ()
-  in
-  let key = workbench_key ~config:(Some config) ~backend ~seed w in
-  let exec =
-    cached_exec ~store ~key (fun () ->
-        let applied =
-          Defenses.Defense.apply ~seed:3L
-            (Defenses.Defense.Smokestack config)
-            (Lazy.force w.program)
-        in
-        Store.Entry.exec_of_run ~pbox_bytes:applied.pbox_bytes
-          (run ~backend applied ~seed w))
-  in
+let baseline ?backend ?(store = shared_store) ?(seed = 1L) w =
+  (cached_exec ?backend ~store ~seed ~config:None w).Store.Entry.stats
+
+let smokestack_stats ?backend ?(store = shared_store) ?(seed = 1L) config w =
+  let exec = cached_exec ?backend ~store ~seed ~config:(Some config) w in
   (exec.Store.Entry.stats, Option.value ~default:0 exec.Store.Entry.pbox_bytes)

@@ -11,6 +11,10 @@ type degradation = {
   reason : string;
 }
 
+let degradation_to_string d =
+  Printf.sprintf "%s->%s" (Scheme.name d.from_scheme)
+    (match d.to_scheme with Some s -> Scheme.name s | None -> "ABORT")
+
 exception Source_failed of string
 
 type tampered = Value of int64 | Unavailable

@@ -50,6 +50,10 @@ type degradation = {
   reason : string;
 }
 
+val degradation_to_string : degradation -> string
+(** ["from->to"], or ["from->ABORT"] for a fail-secure abort, with
+    {!Scheme.name}s, e.g. ["RDRAND->AES-10"]. *)
+
 exception Source_failed of string
 (** Raised by {!next_u64} when a [Fail_secure] generator has no
     fallback left.  The Smokestack runtime turns it into

@@ -45,7 +45,9 @@ type summary = {
   detection_rate : float;
   batch_checked : int;
   batch_mismatches : int;
-      (** served-vs-batch verdict disagreements — the server harness's
+      (** attack sessions whose re-run on the other engine disagreed
+          with the served run on verdict, requests or stats (see
+          {!Session.outcome.batch_match}) — the server harness's
           headline security invariant is that this is zero *)
   chaos_fired : int;
   peak_open : int;

@@ -34,6 +34,21 @@ let cycles_of = function
   | Some (s : Machine.Exec.stats) -> Float.max 1. s.Machine.Exec.cycles
   | None -> 1.
 
+let other_engine (served : Machine.Backend.t) =
+  match served.kind with
+  | Machine.Backend.Reference -> Engine.Backend.backend
+  | Machine.Backend.Bytecode -> Machine.Backend.reference
+
+(* Same verdict, same requests, and Machine.Agree finds no difference in
+   the stats; the verdict's rendering stands in for the outcome. *)
+let same_result (a : Apps.Dopkit.result) (b : Apps.Dopkit.result) =
+  let verdict = Attacks.Verdict.to_string a.verdict in
+  a.verdict = b.verdict && a.requests = b.requests
+  && Option.equal
+       (fun sa sb ->
+         Option.is_none (Machine.Agree.first_diff (verdict, sa) (verdict, sb)))
+       a.stats b.stats
+
 let run ?backend ~(applied : Defenses.Defense.applied) (spec : spec) =
   match spec.kind with
   | Benign flow ->
@@ -52,21 +67,29 @@ let run ?backend ~(applied : Defenses.Defense.applied) (spec : spec) =
       match Apps.Sessions.find_attack aname with
       | None -> invalid_arg ("Server.Session: unknown attack " ^ aname)
       | Some (_, atk) ->
-          let r = atk.Apps.Sessions.attack ?backend applied ~seed:spec.sseed in
-          (* The whole point of the server harness's security claim:
-             serving the attack through the session machinery must
-             change nothing about its fate — the same exploit re-run on
-             the default engine, as the batch harnesses run it, must
-             reach the same verdict. *)
-          let batch = atk.Apps.Sessions.attack applied ~seed:spec.sseed in
+          let served =
+            match backend with Some b -> b | None -> Machine.Backend.default ()
+          in
+          let r =
+            atk.Apps.Sessions.attack ~backend:served applied ~seed:spec.sseed
+          in
+          (* The server harness's security claim, checked per session:
+             serving the attack through the session machinery changes
+             nothing about its fate.  The same exploit re-run on the
+             other engine must reach the same verdict with the same
+             stats, so the check is a cross-engine differential test
+             rather than a replay of the served run. *)
+          let batch =
+            atk.Apps.Sessions.attack ~backend:(other_engine served) applied
+              ~seed:spec.sseed
+          in
           {
             spec;
             verdict = r.Apps.Dopkit.verdict;
             service_cycles = cycles_of r.Apps.Dopkit.stats;
             requests = r.Apps.Dopkit.requests;
             fired = 0;
-            batch_match =
-              Some (r.Apps.Dopkit.verdict = batch.Apps.Dopkit.verdict);
+            batch_match = Some (same_result r batch);
           })
   | Chaotic (flow, plan) ->
       let armed = ref None in

@@ -41,9 +41,12 @@ type outcome = {
   requests : int;  (** request chunks delivered *)
   fired : int;  (** chaos injections that actually happened *)
   batch_match : bool option;
-      (** attacks only: did the served verdict equal the verdict of
-          the same exploit re-run on the default engine (as the batch
-          harnesses run it) for the same instance and seed? *)
+      (** attacks only: the same exploit, re-run for the same instance
+          and seed on the {e other} engine (bytecode when served on the
+          reference interpreter, and vice versa), reached the same
+          verdict after the same requests, and {!Machine.Agree} found
+          no difference in its stats — a cross-engine differential
+          test of every served attack *)
 }
 
 val kind_label : kind -> string
@@ -56,3 +59,6 @@ val run :
   applied:Defenses.Defense.applied ->
   spec ->
   outcome
+(** Serve one session on [backend] (default {!Machine.Backend.default}).
+    An attack session runs twice, once on each engine, for
+    [batch_match]. *)

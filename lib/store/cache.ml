@@ -177,6 +177,14 @@ let put t key entry =
         (Entry.to_json ~key entry));
   locked t (fun () -> t.writes <- t.writes + 1)
 
+let memo t key ~decode ~encode compute =
+  match Option.bind (find t key) decode with
+  | Some v -> v
+  | None ->
+      let v = compute () in
+      put t key (encode v);
+      v
+
 let stats t =
   locked t (fun () ->
       { hits = t.hits; misses = t.misses; writes = t.writes; evicted = t.evicted })

@@ -62,6 +62,16 @@ val mem : t -> Key.t -> bool
 val put : t -> Key.t -> Entry.t -> unit
 (** Insert (or deterministically overwrite); bumps [writes]. *)
 
+val memo :
+  t ->
+  Key.t ->
+  decode:(Entry.t -> 'a option) ->
+  encode:('a -> Entry.t) ->
+  (unit -> 'a) ->
+  'a
+(** The read-through path: {!find}; if absent or it fails to decode (a
+    miss by contract), compute outside the lock, {!put} and return. *)
+
 type stats = { hits : int; misses : int; writes : int; evicted : int }
 
 val stats : t -> stats

@@ -56,18 +56,8 @@ let execute cfg backend pseed source =
   Entry.exec_of_run ?pbox_bytes ((backend : Machine.Backend.t).run ~fuel:cfg.fuel st)
 
 let lookup_or_execute cfg backend store pseed source =
-  let key = key_of cfg source in
-  let cached =
-    match Cache.find store key with
-    | Some e -> Entry.exec_of_entry e
-    | None -> None
-  in
-  match cached with
-  | Some exec -> exec
-  | None ->
-      let exec = execute cfg backend pseed source in
-      Cache.put store key (Entry.exec_entry exec);
-      exec
+  Cache.memo store (key_of cfg source) ~decode:Entry.exec_of_entry
+    ~encode:Entry.exec_entry (fun () -> execute cfg backend pseed source)
 
 let classify (e : Entry.exec) =
   match e.exit_code with

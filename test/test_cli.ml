@@ -261,9 +261,32 @@ let test_serve_json () =
   match Sutil.Json.of_string text with
   | Error e -> Alcotest.failf "serve --json output does not parse: %s" e
   | Ok j -> (
-      match Sutil.Json.member "pool" j with
+      (match Sutil.Json.member "pool" j with
       | Some (Sutil.Json.Obj _) -> ()
-      | _ -> Alcotest.failf "serve --json lacks pool counters: %s" text)
+      | _ -> Alcotest.failf "serve --json lacks pool counters: %s" text);
+      let rows =
+        List.filter_map
+          (function
+            | Sutil.Json.List [ Sutil.Json.String k; Sutil.Json.String v ] ->
+                Some (k, v)
+            | _ -> None)
+          (Option.fold ~none:[] ~some:Sutil.Json.to_list
+             (Sutil.Json.member "rows" j))
+      in
+      let row name =
+        match List.assoc_opt name rows with
+        | Some v -> v
+        | None -> Alcotest.failf "serve --json lacks the %S row: %s" name text
+      in
+      let count name = int_of_string (row name) in
+      Alcotest.(check bool) "sessions served" true (count "served" > 0);
+      Alcotest.(check bool) "positive throughput" true
+        (count "throughput (rps @1GHz)" > 0);
+      let attacks = count "attack sessions" in
+      Alcotest.(check bool) "attack sessions present" true (attacks > 0);
+      Alcotest.(check string) "every attack checked, none mismatched"
+        (Printf.sprintf "0/%d" attacks)
+        (row "batch-verdict mismatches"))
 
 let test_serve_usage_errors () =
   check_code "serve --sessions 0" 2 (run_cli [ "serve"; "--sessions"; "0" ]);

@@ -25,16 +25,41 @@ let run_both ?fuel ?(input = "") src =
       (label, b.run ?fuel st))
     both
 
-let check_identical what results =
+(* Each engine's result against the first (the reference). *)
+let against_first check results =
   match results with
-  | (_, r1) :: rest ->
-      List.iter
-        (fun (label, r) ->
-          Alcotest.(check bool)
-            (Printf.sprintf "%s: %s matches reference" what label)
-            true (r = r1))
-        rest
+  | (_, r1) :: rest -> List.iter (fun (label, r) -> check label r1 r) rest
   | [] -> ()
+
+(* Run parity is Machine.Agree's verdict, field by field. *)
+let agree what label r1 r =
+  Option.iter
+    (fun d ->
+      Alcotest.failf "%s: %s vs reference: %s" what label
+        (Machine.Agree.diff_to_string d))
+    (Machine.Agree.runs r1 r)
+
+let check_identical what results = against_first (agree what) results
+
+let check_same_events what events =
+  against_first
+    (fun label e1 e ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %s events match reference" what label)
+        true (e = e1))
+    events
+
+(* A traced run: its result (or the exception it raised) and its
+   events. *)
+let check_traced what results =
+  check_same_events what (List.map (fun (l, (_, ev)) -> (l, ev)) results);
+  against_first
+    (fun label r1 r ->
+      match (r1, r) with
+      | Ok a, Ok b -> agree what label a b
+      | Error a, Error b -> Alcotest.(check string) (what ^ ": " ^ label) a b
+      | _ -> Alcotest.failf "%s: %s: only one engine raised" what label)
+    (List.map (fun (l, (r, _)) -> (l, r)) results)
 
 (* ------------------------------------------------------------------ *)
 (* Cost model invariants *)
@@ -401,7 +426,7 @@ int main() { print_int(helper(2) + helper(5)); return 0; }
         (label, Machine.Trace.events t))
       both
   in
-  check_identical "trace events" traces
+  check_same_events "trace events" traces
 
 (* ------------------------------------------------------------------ *)
 (* Parity of the unboxed dispatch paths: inline arithmetic, frame-slot
@@ -448,7 +473,7 @@ let expect_outcome what expected results =
             (Machine.Exec.outcome_to_string o)
       | Error e -> Alcotest.failf "%s: %s: raised %s" what label e)
     results;
-  check_identical what results
+  check_traced what results
 
 let expect_raise what expected results =
   List.iter
@@ -459,7 +484,7 @@ let expect_raise what expected results =
           Alcotest.failf "%s: %s: expected %s, got %s" what label expected
             (Machine.Exec.outcome_to_string o))
     results;
-  check_identical what results
+  check_traced what results
 
 let test_parity_division_by_zero () =
   List.iter
@@ -525,7 +550,7 @@ let test_parity_arith_values () =
             stats.output
       | Error e -> Alcotest.failf "%s raised %s" label e)
     results;
-  check_identical "arithmetic values" results
+  check_traced "arithmetic values" results
 
 let ty_of_width = function
   | 1 -> Ir.Ty.I8
@@ -585,7 +610,7 @@ let test_parity_width_roundtrip () =
             stats.output
       | Error e -> Alcotest.failf "%s raised %s" label e)
     results;
-  check_identical "width round trip" results
+  check_traced "width round trip" results
 
 (* The reference evaluates a store's value before its address: with two
    different unresolvable operands, the value's error must win. *)

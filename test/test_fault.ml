@@ -298,21 +298,24 @@ let test_fid_corruption_detected () =
       Alcotest.failf "expected Detected, got %s"
         (Machine.Exec.outcome_to_string o)
 
+(* Fail with the first observable Machine.Agree finds differing. *)
+let check_agree what r1 r2 =
+  Option.iter
+    (fun d -> Alcotest.failf "%s: %s" what (Machine.Agree.diff_to_string d))
+    (Machine.Agree.runs r1 r2)
+
 let test_never_firing_plan_is_observation_free () =
   let obs plan =
     let outcome, stats, _, _, _ = run_hardened ?plan ~seed:14L () in
-    ( Machine.Exec.outcome_to_string outcome,
-      stats.Machine.Exec.output,
-      stats.Machine.Exec.cycles,
-      stats.Machine.Exec.instr_count )
+    (outcome, stats)
   in
   let clean = obs None in
   List.iter
     (fun spec ->
-      Alcotest.(check bool)
+      check_agree
         (spec ^ " leaves observables bit-identical")
-        true
-        (obs (Some (plan_of spec)) = clean))
+        clean
+        (obs (Some (plan_of spec))))
     [ "rng:ones@never"; "mem:stack:64:3@never"; "intr:ss.rand:xor=0xff@never" ]
 
 (* The acceptance property: over >= 50 seeded random plans, on both
@@ -326,22 +329,19 @@ let test_property_structured_outcomes_both_backends () =
         run_hardened ~plan ~seed:(Int64.of_int (1000 + seed)) ~backend ()
       with
       | outcome, stats, _, armed, _ ->
-          ( Machine.Exec.outcome_to_string outcome,
-            stats.Machine.Exec.output,
-            stats.Machine.Exec.cycles,
-            stats.Machine.Exec.instr_count,
-            Fault.Inject.fired (Option.get armed) )
+          ((outcome, stats), Fault.Inject.fired (Option.get armed))
       | exception e ->
           Alcotest.failf "seed %d (%s) on %s: uncaught %s" seed
             (Fault.Plan.to_spec plan) backend.Machine.Backend.label
             (Printexc.to_string e)
     in
-    let r = run ref_backend in
-    let b = run bc_backend in
-    Alcotest.(check bool)
-      (Printf.sprintf "seed %d (%s): engines agree" seed
-         (Fault.Plan.to_spec plan))
-      true (r = b)
+    let r, r_fired = run ref_backend in
+    let b, b_fired = run bc_backend in
+    let what =
+      Printf.sprintf "seed %d (%s): engines agree" seed (Fault.Plan.to_spec plan)
+    in
+    check_agree what r b;
+    Alcotest.(check int) (what ^ " on injections fired") r_fired b_fired
   done
 
 (* ------------------------------------------------------------------ *)

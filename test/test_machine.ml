@@ -488,6 +488,71 @@ int main() {
        (function Machine.Trace.Ev_detected _ -> true | _ -> false)
        (Machine.Trace.events t))
 
+(* ------------------------------------------------------------------ *)
+(* Engine agreement: Machine.Agree names the first field that differs *)
+
+let agree_base : Machine.Exec.stats =
+  {
+    cycles = 1234.5;
+    instr_count = 100;
+    call_count = 3;
+    max_depth = 2;
+    max_frame_bytes = 64;
+    rss_bytes = 8192;
+    output = "ok\n";
+  }
+
+let oob addr =
+  Machine.Exec.Fault
+    {
+      fault = Machine.Memory.Out_of_bounds { addr; size = 8; op = "load" };
+      func = "main";
+    }
+
+let diff_field r1 r2 =
+  Option.map (fun (d : Machine.Agree.diff) -> d.field) (Machine.Agree.runs r1 r2)
+
+let test_agree_identical () =
+  Alcotest.(check (option string)) "identical runs agree" None
+    (diff_field (oob 0x400000, agree_base) (oob 0x400000, agree_base))
+
+(* One pair per field, each differing in that field alone. *)
+let test_agree_names_each_field () =
+  let b = agree_base in
+  let o = Machine.Exec.Exit 0L in
+  List.iter
+    (fun (field, r1, r2) ->
+      Alcotest.(check (option string)) field (Some field) (diff_field r1 r2))
+    [
+      ("cycles", (o, b), (o, { b with cycles = Float.succ b.cycles }));
+      ("outcome", (oob 0x400000, b), (oob 0x400008, b));
+      ("call_count", (o, b), (o, { b with call_count = 4 }));
+      ("rss_bytes", (o, b), (o, { b with rss_bytes = 12288 }));
+      ("output", (o, b), (o, { b with output = "ok" }));
+      ("instr_count", (o, b), (o, { b with instr_count = 101 }));
+      ("max_depth", (o, b), (o, { b with max_depth = 3 }));
+      ("max_frame_bytes", (o, b), (o, { b with max_frame_bytes = 72 }));
+      ("outcome", (o, b), (Machine.Exec.Exit 1L, b));
+    ]
+
+let test_agree_cycles_bit_exact () =
+  let b = agree_base and o = Machine.Exec.Exit 0L in
+  match Machine.Agree.runs (o, b) (o, { b with cycles = Float.succ b.cycles }) with
+  | Some d ->
+      Alcotest.(check string) "one ulp renders distinctly"
+        "cycles differs: 0x1.34ap+10 vs 0x1.34a0000000001p+10"
+        (Machine.Agree.diff_to_string d);
+      Alcotest.(check (option string)) "signed zero is a difference"
+        (Some "cycles")
+        (diff_field (o, { b with cycles = 0. }) (o, { b with cycles = -0. }))
+  | None -> Alcotest.fail "one-ulp cycle drift went unreported"
+
+let test_agree_first_field_wins () =
+  let b = agree_base in
+  Alcotest.(check (option string)) "outcome reported before cycles"
+    (Some "outcome")
+    (diff_field (oob 1, b) (oob 2, { b with cycles = 0.; rss_bytes = 0 }))
+
 let () =
   Alcotest.run "machine"
     [
@@ -524,6 +589,16 @@ let () =
           Alcotest.test_case "capacity one" `Quick test_trace_capacity_one;
           Alcotest.test_case "render limit" `Quick test_trace_render_limit;
           Alcotest.test_case "captures detection" `Quick test_trace_captures_detection;
+        ] );
+      ( "agree",
+        [
+          Alcotest.test_case "identical runs" `Quick test_agree_identical;
+          Alcotest.test_case "names each field" `Quick
+            test_agree_names_each_field;
+          Alcotest.test_case "cycles bit-exact" `Quick
+            test_agree_cycles_bit_exact;
+          Alcotest.test_case "first field wins" `Quick
+            test_agree_first_field_wins;
         ] );
       ( "builtins",
         [

@@ -176,6 +176,45 @@ let test_served_attacks_match_batch_verdicts () =
           Alcotest.fail "non-attack sessions have no batch verdict")
     outcomes
 
+(* The check must be able to fail: an engine that adds one cycle to
+   every run disagrees with the reference interpreter on every attack
+   that executed. *)
+let test_perturbed_engine_mismatches () =
+  let perturbed =
+    {
+      Machine.Backend.kind = Machine.Backend.Bytecode;
+      label = "bytecode+1cycle";
+      run =
+        (fun ?fuel ?entry ?args st ->
+          let outcome, stats = bc_backend.run ?fuel ?entry ?args st in
+          (outcome, { stats with cycles = stats.cycles +. 1. }));
+    }
+  in
+  let tenants = Server.Tenant.fleet ~root:11L () in
+  let traffic = { Server.Traffic.default with sessions = 150; root = 11L } in
+  let specs = Server.Traffic.generate traffic tenants in
+  let d = Server.Dispatch.run ~backend:perturbed tenants specs in
+  let summary = Server.Metrics.of_dispatch d in
+  Alcotest.(check bool) "batch mismatches reported" true
+    (summary.Server.Metrics.batch_mismatches > 0);
+  let executed_attacks =
+    List.filter
+      (fun (o : Server.Session.outcome) ->
+        match o.spec.Server.Session.kind with
+        | Server.Session.Attack _ -> o.service_cycles > 1.
+        | _ -> false)
+      (List.map (fun (s : Server.Dispatch.served) -> s.outcome)
+         d.Server.Dispatch.served
+      @ List.map fst d.Server.Dispatch.shed)
+  in
+  Alcotest.(check bool) "some attack executed" true (executed_attacks <> []);
+  List.iter
+    (fun (o : Server.Session.outcome) ->
+      Alcotest.(check (option bool))
+        (Printf.sprintf "session %d flagged" o.spec.Server.Session.sid)
+        (Some false) o.batch_match)
+    executed_attacks
+
 let test_summary_accounting () =
   let tenants = Server.Tenant.fleet ~apps:small_apps ~root:5L () in
   let traffic = { Server.Traffic.default with sessions = 80; root = 5L } in
@@ -868,6 +907,8 @@ let () =
         [
           Alcotest.test_case "batch verdicts reproduced" `Quick
             test_served_attacks_match_batch_verdicts;
+          Alcotest.test_case "perturbed engine mismatches" `Quick
+            test_perturbed_engine_mismatches;
           Alcotest.test_case "summary accounting" `Quick
             test_summary_accounting;
         ] );

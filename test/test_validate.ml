@@ -160,10 +160,12 @@ let test_runnable_mutants_both_engines () =
           in
           (match results with
           | [ r1; r2 ] ->
-              Alcotest.(check bool)
-                (Printf.sprintf "%s: engines agree on the mutant"
-                   (Validate.mutation_to_string m))
-                true (r1 = r2)
+              Option.iter
+                (fun d ->
+                  Alcotest.failf "%s: engines disagree on the mutant: %s"
+                    (Validate.mutation_to_string m)
+                    (Machine.Agree.diff_to_string d))
+                (Machine.Agree.runs r1 r2)
           | _ -> assert false))
     [ Validate.Raw_alloca; Validate.Spill_index; Validate.Drop_fid_assert ]
 
